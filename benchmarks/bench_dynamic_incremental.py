@@ -2,9 +2,8 @@
 
 The dynamics subsystem's performance claim: when a small fraction of the
 nodes moves between epochs, ``PhysicsBackend.update_positions`` -- which
-recomputes only the touched gain rows/columns and patches the cached top-K
-rank table -- beats rebuilding the dense backend (full pairwise-distance +
-power-law matrix + rank table) from scratch.
+recomputes only the touched gain rows/columns -- beats rebuilding the dense
+backend (full pairwise-distance + power-law matrix) from scratch.
 
 Two legs, each asserting exact semantic equivalence before timing:
 
@@ -71,7 +70,6 @@ def bench_dense(n: int, epochs: int, fraction: float, seed: int) -> Dict[str, fl
     positions = rng.uniform(0.0, area, size=(n, 2))
 
     incremental = DenseMatrixBackend(positions.copy(), params)
-    incremental._topk_table()  # warm the rank table both paths must maintain
     update_s = 0.0
     rebuild_s = 0.0
     for _ in range(epochs):
@@ -84,7 +82,6 @@ def bench_dense(n: int, epochs: int, fraction: float, seed: int) -> Dict[str, fl
 
         start = time.perf_counter()
         rebuilt = DenseMatrixBackend(positions.copy(), params)
-        rebuilt._topk_table()
         rebuild_s += time.perf_counter() - start
 
         indptr, members = random_schedule(n, rng)

@@ -12,9 +12,10 @@ dense node indices, transmitter/listener sets are converted to index arrays
 once per round, and uid translation of the results is a single fancy-indexing
 pass over the network's uid array -- there is no per-``Node`` attribute churn
 on the hot path.  On top of the per-round :meth:`SINRSimulator.run_round` it
-offers the batched :meth:`SINRSimulator.run_schedule`, which evaluates a
+offers the batched :meth:`SINRSimulator.run_schedule_table` (and its
+list-of-sets wrapper :meth:`SINRSimulator.run_schedule`), which evaluates a
 whole precomputed sequence of transmitter sets through the physics backend's
-``receptions_batch`` in vectorized NumPy calls; all schedule-driven
+``receptions_table`` in vectorized NumPy calls; all schedule-driven
 executions (:mod:`repro.simulation.schedule`, and through it every
 deterministic algorithm in :mod:`repro.core`) go through that path.
 
@@ -231,7 +232,6 @@ class SINRSimulator:
         listeners: Optional[Iterable[int]] = None,
         phase: str = "",
         wake_on_reception: bool = False,
-        round_batch: Optional[object] = None,
     ) -> List[List[Tuple[int, int]]]:
         """Execute a precomputed sequence of transmitter sets as one batch.
 
@@ -240,7 +240,7 @@ class SINRSimulator:
         execution).  The listener semantics per round are exactly those of
         :meth:`run_round` -- same defaults, same half-duplex exclusion, same
         sleeping/wake rules -- but the physics of all rounds is evaluated in
-        one call to the backend's ``receptions_batch``, which is what makes
+        one call to the backend's ``receptions_table``, which is what makes
         long schedule executions fast.  Batching is exact (not an
         approximation): transmitter sets are fixed in advance and a round's
         outcome never depends on earlier listeners' outcomes, so the batch
@@ -265,7 +265,6 @@ class SINRSimulator:
             listeners=listeners,
             phase=phase,
             wake_on_reception=wake_on_reception,
-            round_batch=round_batch,
         )
         return deliveries.per_round_pairs()
 
@@ -277,7 +276,6 @@ class SINRSimulator:
         listeners: Optional[Iterable[int]] = None,
         phase: str = "",
         wake_on_reception: bool = False,
-        round_batch: Optional[object] = None,
     ) -> ScheduleDeliveries:
         """Execute a columnar transmitter table as one batch (the native path).
 
@@ -289,11 +287,6 @@ class SINRSimulator:
         :meth:`run_schedule`; the difference is purely representational --
         transmitter sets stay NumPy arrays end to end and the result is a
         columnar :class:`ScheduleDeliveries` table.
-
-        ``round_batch`` is forwarded to the physics backend as a
-        round-fusing performance hint (``int >= 1``, ``"auto"`` or ``None``
-        for the backend default); it never changes results and is ignored
-        by backends without a batched driver.
         """
         tx_round_ids = np.ascontiguousarray(tx_round_ids, dtype=np.int64)
         tx_uids = np.ascontiguousarray(tx_uids, dtype=np.int64)
@@ -312,9 +305,7 @@ class SINRSimulator:
             if not wake_on_reception:
                 rx_candidates = rx_candidates[self._awake[rx_candidates]]
 
-        table = network.physics.receptions_table(
-            indptr, tx_indices, listeners=rx_candidates, round_batch=round_batch
-        )
+        table = network.physics.receptions_table(indptr, tx_indices, listeners=rx_candidates)
 
         if wake_on_reception and len(table):
             asleep = np.unique(table.receivers[~self._awake[table.receivers]])

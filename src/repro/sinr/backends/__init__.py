@@ -1,8 +1,9 @@
 """Pluggable SINR physics backends.
 
 Every backend implements the :class:`~repro.sinr.backends.base.PhysicsBackend`
-protocol -- one round via ``receptions()``, a whole schedule via
-``receptions_batch()`` -- and they are interchangeable everywhere a network or
+protocol -- a whole CSR schedule via ``receptions_table()``, which the
+base-class ``receptions()`` (one round) and ``receptions_batch()`` (a list of
+transmitter sets) wrap -- and they are interchangeable everywhere a network or
 simulator needs physics.  Selection is by name (``"dense"``, ``"lazy"`` or
 ``"spatial"``) through :func:`make_backend`, threaded from
 ``WirelessNetwork(backend=...)``, the deployment generators, and the CLI's

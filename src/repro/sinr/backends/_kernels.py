@@ -1,59 +1,31 @@
-"""Optional compiled kernels for the spatial backend's per-round hot path.
+"""NumPy kernels for the spatial backend's hot path.
 
-Three small numeric primitives dominate a spatial round evaluation:
+Four small numeric primitives dominate a spatial schedule evaluation:
 
+* :func:`dist_pow` -- ``d^alpha`` from squared distances, with a multiply
+  fast path for integral exponents;
 * :func:`pair_gains` -- received power ``P / d^alpha`` for a flat list of
   (transmitter position, listener position) pairs, with the co-located
   clamp;
 * :func:`near_reduce` -- segment reduction of those pair gains onto their
-  listeners (total near-field power *and* strongest near-field gain in one
-  pass);
-* :func:`resolve_strongest` -- per-listener total power, strongest gain and
-  strongest-transmitter index over an exact ``(k, m)`` gain block (the
-  fallback path for listeners whose accept/reject decision the tile bounds
-  cannot certify);
-* :func:`segment_strongest` -- the ragged counterpart of
-  :func:`resolve_strongest`: per-segment total power, strongest gain and the
-  *flat index* of the first strongest pair over a flat, segment-major pair
-  list.  This is what the batched multi-round driver uses, where each
-  listener's exact-evaluation row count depends on its own round's
-  transmitter set; ties resolve to the lowest flat index, matching
-  ``np.argmax`` semantics on the block form.
-
-Each primitive has a pure-NumPy implementation and, when `numba
-<https://numba.pydata.org>`_ is importable, an ``@njit``-compiled fused-loop
-variant that avoids the intermediate arrays (the NumPy versions materialize
-``hypot``/``power`` temporaries and pay two passes for the sum+max
-reduction).  Selection happens once at import time; ``numba`` is an
-*optional* dependency (the ``[speed]`` extra) and nothing here imports it
-eagerly beyond the guarded probe.  Both variants are exercised in CI, and
-the property tests in ``tests/test_spatial_backend.py`` hold under either.
-
-``KERNEL_BACKEND`` reports which implementation is active (``"numba"`` or
-``"numpy"``); ``REPRO_NO_NUMBA=1`` in the environment forces the NumPy
-fallback even when numba is installed (used by CI to test both paths on one
-matrix entry).
+  listeners (total near-field power *and* strongest near-field gain);
+* :func:`segment_strongest` -- per-segment total power, strongest gain and
+  the *flat index* of the first strongest pair over a flat, segment-major
+  pair list.  The exact stage uses it, where each listener's row count
+  depends on its own round's transmitter set; ties resolve to the lowest
+  flat index, matching ``np.argmax`` semantics on the block form.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "KERNEL_BACKEND",
     "dist_pow",
     "near_reduce",
     "pair_gains",
-    "resolve_strongest",
     "segment_strongest",
 ]
-
-
-# --------------------------------------------------------------------- #
-# Pure-NumPy implementations (always available, the reference semantics).
-# --------------------------------------------------------------------- #
 
 
 def dist_pow(dist_sq, alpha):
@@ -79,7 +51,7 @@ def dist_pow(dist_sq, alpha):
     return np.power(np.sqrt(dist_sq), alpha)
 
 
-def _pair_gains_numpy(tx_xy, rx_xy, power, alpha, colocated_gain):
+def pair_gains(tx_xy, rx_xy, power, alpha, colocated_gain):
     """``P / d^alpha`` per (transmitter, listener) position pair."""
     diff = tx_xy - rx_xy
     dist_sq = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
@@ -89,7 +61,7 @@ def _pair_gains_numpy(tx_xy, rx_xy, power, alpha, colocated_gain):
     return gains
 
 
-def _near_reduce_numpy(listener_idx, gains, num_listeners):
+def near_reduce(listener_idx, gains, num_listeners):
     """Per-listener (sum, max) of the pair gains (segment reduction)."""
     sums = np.bincount(listener_idx, weights=gains, minlength=num_listeners)
     maxs = np.zeros(num_listeners, dtype=np.float64)
@@ -97,27 +69,19 @@ def _near_reduce_numpy(listener_idx, gains, num_listeners):
     return sums, maxs
 
 
-def _resolve_strongest_numpy(block):
-    """Per-column (total, best gain, best row index) of a gain block."""
-    totals = block.sum(axis=0)
-    best_idx = block.argmax(axis=0)
-    best_gain = block[best_idx, np.arange(block.shape[1])]
-    return totals, best_gain, best_idx
-
-
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _segment_strongest_numpy(seg_idx, gains, num_segments):
+def segment_strongest(seg_idx, gains, num_segments):
     """Per-segment (total, best gain, flat index of the first best pair).
 
     ``seg_idx`` must be segment-major (non-decreasing) and ``gains``
     strictly positive; both hold on every call site (pair lists are built
     candidate-major and gains are clamped powers).  Totals accumulate in
     flat input order (``np.bincount`` adds sequentially per bin), which is
-    what makes the batched and per-round drivers bit-identical; ties on the
-    maximum resolve to the lowest flat index, matching ``np.argmax`` over
-    the equivalent dense block.  Empty segments report (0, 0, 0).
+    what makes every batch size bit-identical; ties on the maximum resolve
+    to the lowest flat index, matching ``np.argmax`` over the equivalent
+    dense block.  Empty segments report (0, 0, 0).
     """
     totals = np.bincount(seg_idx, weights=gains, minlength=num_segments)
     best_gain = np.zeros(num_segments, dtype=np.float64)
@@ -127,85 +91,3 @@ def _segment_strongest_numpy(seg_idx, gains, num_segments):
     np.minimum.at(best_idx, seg_idx[hit], hit)
     best_idx[best_idx == _INT64_MAX] = 0
     return totals, best_gain, best_idx
-
-
-# --------------------------------------------------------------------- #
-# Numba-compiled variants (selected when importable and not disabled).
-# --------------------------------------------------------------------- #
-
-KERNEL_BACKEND = "numpy"
-pair_gains = _pair_gains_numpy
-near_reduce = _near_reduce_numpy
-resolve_strongest = _resolve_strongest_numpy
-segment_strongest = _segment_strongest_numpy
-
-if not os.environ.get("REPRO_NO_NUMBA"):
-    try:
-        from numba import njit
-    except ImportError:  # numba is optional: the [speed] extra
-        njit = None
-
-    if njit is not None:
-
-        @njit(cache=True)
-        def _pair_gains_nb(tx_xy, rx_xy, power, alpha, colocated_gain):  # pragma: no cover
-            out = np.empty(tx_xy.shape[0], dtype=np.float64)
-            for i in range(tx_xy.shape[0]):
-                dx = tx_xy[i, 0] - rx_xy[i, 0]
-                dy = tx_xy[i, 1] - rx_xy[i, 1]
-                dist = np.sqrt(dx * dx + dy * dy)
-                if dist > 0.0:
-                    out[i] = power / dist**alpha
-                else:
-                    out[i] = colocated_gain
-            return out
-
-        @njit(cache=True)
-        def _near_reduce_nb(listener_idx, gains, num_listeners):  # pragma: no cover
-            sums = np.zeros(num_listeners, dtype=np.float64)
-            maxs = np.zeros(num_listeners, dtype=np.float64)
-            for i in range(listener_idx.size):
-                j = listener_idx[i]
-                g = gains[i]
-                sums[j] += g
-                if g > maxs[j]:
-                    maxs[j] = g
-            return sums, maxs
-
-        @njit(cache=True)
-        def _resolve_strongest_nb(block):  # pragma: no cover
-            k, m = block.shape
-            totals = np.zeros(m, dtype=np.float64)
-            best_gain = np.zeros(m, dtype=np.float64)
-            best_idx = np.zeros(m, dtype=np.int64)
-            for i in range(k):
-                for j in range(m):
-                    g = block[i, j]
-                    totals[j] += g
-                    if g > best_gain[j]:
-                        best_gain[j] = g
-                        best_idx[j] = i
-            return totals, best_gain, best_idx
-
-        @njit(cache=True)
-        def _segment_strongest_nb(seg_idx, gains, num_segments):  # pragma: no cover
-            totals = np.zeros(num_segments, dtype=np.float64)
-            best_gain = np.zeros(num_segments, dtype=np.float64)
-            best_idx = np.zeros(num_segments, dtype=np.int64)
-            for i in range(seg_idx.size):
-                j = seg_idx[i]
-                g = gains[i]
-                totals[j] += g
-                # Strict > keeps the first maximal pair, matching the NumPy
-                # variant's lowest-flat-index tie break; sequential += keeps
-                # the totals bit-identical to np.bincount's per-bin order.
-                if g > best_gain[j]:
-                    best_gain[j] = g
-                    best_idx[j] = i
-            return totals, best_gain, best_idx
-
-        KERNEL_BACKEND = "numba"
-        pair_gains = _pair_gains_nb
-        near_reduce = _near_reduce_nb
-        resolve_strongest = _resolve_strongest_nb
-        segment_strongest = _segment_strongest_nb

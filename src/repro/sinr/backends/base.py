@@ -2,22 +2,29 @@
 
 A *backend* answers one question -- given a placement, the model parameters
 and a set of concurrent transmitters, which listeners decode which message --
-while being free to choose its own storage/compute trade-off.  Two backends
-ship with the reproduction:
+while being free to choose its own storage/compute trade-off.  Three
+backends ship with the reproduction:
 
 * :class:`~repro.sinr.backends.dense.DenseMatrixBackend` precomputes the full
-  ``(n, n)`` received-power (gain) matrix; fastest per round, O(n^2) memory.
-* :class:`~repro.sinr.backends.lazy.LazyBlockBackend` computes gain blocks on
-  demand from positions with an LRU block cache; O(n) resident memory, which
+  ``(n, n)`` received-power (gain) matrix; O(n^2) memory, gathers only.
+* :class:`~repro.sinr.backends.lazy.LazyBlockBackend` computes gain rows on
+  demand from positions with an LRU row cache; O(n) resident memory, which
   unlocks deployments of 100k+ nodes.
+* :class:`~repro.sinr.backends.spatial.SpatialGridBackend` buckets nodes in a
+  uniform grid and certifies most rejections from near/far bounds, so a
+  round costs O(active area) rather than O(n).
 
-The contract is a single primitive, :meth:`PhysicsBackend.gain_block`: the
-received-power sub-matrix for arbitrary sender/receiver index arrays.  All
-reception logic (:meth:`~PhysicsBackend.receptions` for one round,
-:meth:`~PhysicsBackend.receptions_batch` for a whole schedule) is implemented
-once in this base class on top of it, so every backend is guaranteed to
-realize the *same* physics; the property tests in ``tests/test_backends.py``
-additionally pin down their numerical equivalence.
+Reception is evaluated in one place per backend:
+:meth:`PhysicsBackend.receptions_table`, which runs a whole CSR schedule and
+returns a columnar :class:`DeliveryTable`.  The generic implementation here
+is built on the single primitive :meth:`PhysicsBackend.gain_block` (the
+received-power sub-matrix for arbitrary sender/receiver index arrays) and
+serves dense and lazy; spatial overrides it.  :meth:`~PhysicsBackend.receptions`
+(one round, a ``{listener: Reception}`` dict) and
+:meth:`~PhysicsBackend.receptions_batch` (a list of transmitter sets) are
+base-class wrappers over it, so every entry point realizes the same physics;
+``tests/test_backend_differential.py`` checks all three backends against a
+brute-force Equation 1 oracle.
 
 Because the SINR threshold ``beta`` exceeds 1, at most one transmitter can be
 decoded by any listener per round, and -- since the SINR of a candidate is
@@ -141,7 +148,7 @@ class PhysicsBackend(ABC):
     """
 
     #: Soft cap on the number of gain-matrix elements materialized at once by
-    #: :meth:`receptions_batch` (rows x listeners per chunk); keeps peak
+    #: :meth:`receptions_table` (rows x listeners per chunk); keeps peak
     #: memory bounded even for long schedules over large deployments.
     _BATCH_BLOCK_ELEMENTS = 4_000_000
 
@@ -183,7 +190,7 @@ class PhysicsBackend(ABC):
         """Move the nodes at ``indices`` to coordinates ``new_xy``, in place.
 
         Backends update only the state the move actually touches (gain
-        rows/columns of the moved nodes, cached rank tables, cached rows)
+        rows/columns of the moved nodes, cached rows, grid buckets)
         instead of rebuilding from scratch; after the call the backend is
         indistinguishable from one freshly constructed over the new
         placement (property-tested in ``tests/test_incremental_physics.py``).
@@ -268,45 +275,13 @@ class PhysicsBackend(ABC):
     ) -> Dict[int, Reception]:
         """Compute, per listener, the (unique) successfully decoded sender.
 
-        A node that transmits in a round cannot receive in the same round
-        (half-duplex radios, as in the paper).  Listeners default to all
-        non-transmitting nodes.
+        One round of :meth:`receptions_table`: a node that transmits in the
+        round cannot receive in it (half-duplex radios, as in the paper), so
+        listeners default to all non-transmitting nodes.
         """
-        transmitters = list(dict.fromkeys(int(t) for t in transmitters))
-        if not transmitters:
-            return {}
-        tx = np.array(transmitters, dtype=int)
-        tx_set = set(transmitters)
-        if listeners is None:
-            mask = np.ones(self.size, dtype=bool)
-            mask[tx] = False
-            rx = np.flatnonzero(mask)
-        else:
-            listener_ids = [int(v) for v in listeners if int(v) not in tx_set]
-            if not listener_ids:
-                return {}
-            rx = np.array(listener_ids, dtype=int)
-        if rx.size == 0:
-            return {}
-
-        # gains_sub[i, j] = received power at listener rx[j] from transmitter tx[i]
-        gains_sub = self.gain_block(tx, rx)
-        total_power = gains_sub.sum(axis=0)
-        # A candidate's interference is the total received power minus its own
-        # contribution, so its SINR is monotone increasing in its own gain:
-        # the (unique, since beta > 1) decodable sender is the strongest one.
-        best_idx = np.argmax(gains_sub, axis=0)
-        best_gain = gains_sub[best_idx, np.arange(len(rx))]
-        best_sinr = best_gain / (self._params.noise + (total_power - best_gain))
-
-        result: Dict[int, Reception] = {}
-        threshold = self._params.beta
-        for j in np.flatnonzero(best_sinr >= threshold - NUMERIC_TOLERANCE):
-            receiver = int(rx[j])
-            result[receiver] = Reception(
-                receiver=receiver, sender=int(tx[best_idx[j]]), sinr=float(best_sinr[j])
-            )
-        return result
+        tx = np.fromiter(dict.fromkeys(int(t) for t in transmitters), dtype=np.int64)
+        table = self.receptions_table(np.array([0, tx.size]), tx, listeners)
+        return RoundReceptions(table.receivers, table.senders, table.sinr).as_dict()
 
     def _normalize_listeners(self, listeners: Optional[Sequence[int]]) -> np.ndarray:
         """Listener index array: defaults to all nodes, dedups preserving order."""
@@ -328,32 +303,22 @@ class PhysicsBackend(ABC):
         tx_indptr: np.ndarray,
         tx_members: np.ndarray,
         listeners: Optional[Sequence[int]] = None,
-        *,
-        round_batch: Optional[object] = None,
     ) -> DeliveryTable:
         """Evaluate a whole CSR schedule of transmitter sets, columnarly.
 
         ``tx_members[tx_indptr[t]:tx_indptr[t + 1]]`` are the transmitter
         indices of round ``t`` (duplicate-free within a round).  The same
         ``listeners`` apply to every round (default: all nodes), except that
-        a round's own transmitters never receive (half-duplex).  Semantically
-        equivalent to calling :meth:`receptions` once per round -- the
-        property tests assert exactly that -- but rounds are evaluated in
-        chunked vectorized passes with no per-round Python containers, and
-        the result is a single columnar :class:`DeliveryTable`.
+        a round's own transmitters never receive (half-duplex).  Rounds are
+        evaluated in chunked vectorized passes with no per-round Python
+        containers, and the result is a single columnar
+        :class:`DeliveryTable`.
 
-        ``round_batch`` is a performance hint -- how many consecutive rounds
-        a backend may fuse into one composite evaluation (an ``int >= 1``,
-        ``"auto"``, or ``None`` for the backend's configured default).  It
-        never changes results; backends without a batched driver (this
-        generic path, dense, lazy) accept and ignore it so callers can
-        thread the knob uniformly.
-
-        Subclasses may override with a faster representation-specific path
-        (see the dense backend's gemm/top-k implementation); the generic
-        implementation only relies on :meth:`gain_block`.
+        This is the one reception routine a backend owns: :meth:`receptions`
+        and :meth:`receptions_batch` wrap it.  The generic implementation
+        only relies on :meth:`gain_block` (dense and lazy use it); the
+        spatial backend overrides it with its certified batched driver.
         """
-        del round_batch  # accepted for signature uniformity; no batched driver here
         tx_indptr = np.ascontiguousarray(tx_indptr, dtype=np.int64)
         tx_members = np.ascontiguousarray(tx_members, dtype=np.int64)
         num_rounds = len(tx_indptr) - 1
@@ -384,17 +349,18 @@ class PhysicsBackend(ABC):
                 end += 1
             entries = tx_members[tx_indptr[start] : tx_indptr[end]]
             if entries.size:
-                uniq, inv = np.unique(entries, return_inverse=True)
-                block = self.gain_block(uniq, rx)
+                # Row i of the block is entry i's gains: each round is a
+                # contiguous row slice, no re-gather.
+                block = self.gain_block(entries, rx)
                 base = int(tx_indptr[start])
                 for t in range(start, end):
                     lo, hi = int(tx_indptr[t]) - base, int(tx_indptr[t + 1]) - base
                     if lo == hi:
                         continue
-                    gains_sub = block[inv[lo:hi]]
+                    gains_sub = block[lo:hi]
                     total_power = gains_sub.sum(axis=0)
                     best_gain = gains_sub.max(axis=0)
-                    # Strongest transmitter == best SINR (see receptions()).
+                    # Strongest transmitter == best SINR (see the module docstring).
                     best_sinr = best_gain / (noise + (total_power - best_gain))
                     ok = best_sinr >= threshold
                     # Half-duplex: a round's transmitters never receive in it.
@@ -453,8 +419,7 @@ class PhysicsBackend(ABC):
     def reception_matrix(self, transmitters: Sequence[int]) -> np.ndarray:
         """Boolean matrix ``M[i, j]``: listener ``j`` decodes ``transmitters[i]``.
 
-        Mostly useful for analysis and tests; the simulator itself uses
-        :meth:`receptions`.
+        Mostly useful for analysis and tests; built on :meth:`receptions`.
         """
         transmitters = list(dict.fromkeys(int(t) for t in transmitters))
         matrix = np.zeros((len(transmitters), self.size), dtype=bool)

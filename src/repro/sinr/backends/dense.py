@@ -1,10 +1,11 @@
 """Dense-matrix physics backend: precomputed O(n^2) gain matrix.
 
 The historical (and default) backend of the reproduction: at construction it
-materializes the full pairwise received-power matrix, after which every round
-is a handful of numpy reductions over sub-matrices.  Fastest per round for
-deployments that fit in memory (~tens of thousands of nodes); switch to
-:class:`~repro.sinr.backends.lazy.LazyBlockBackend` beyond that.
+materializes the full pairwise received-power matrix, after which every
+:meth:`gain_block` the shared reception routine asks for is a gather from it.
+Suits deployments whose matrix fits in memory (~tens of thousands of nodes);
+switch to :class:`~repro.sinr.backends.lazy.LazyBlockBackend` or
+:class:`~repro.sinr.backends.spatial.SpatialGridBackend` beyond that.
 
 This is also the only backend that supports *metric-only* construction from
 a pairwise-distance matrix (the paper's footnote-1 generalization to
@@ -14,13 +15,13 @@ recompute distances from.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..geometry import pairwise_distances
 from ..model import NUMERIC_TOLERANCE, SINRParameters
-from .base import COLOCATED_GAIN, DeliveryTable, PhysicsBackend, _empty_table
+from .base import COLOCATED_GAIN, PhysicsBackend
 
 
 class DenseMatrixBackend(PhysicsBackend):
@@ -41,9 +42,8 @@ class DenseMatrixBackend(PhysicsBackend):
         are computed in float64 before the downcast, ``gain_block`` widens
         back to float64 on gather, and all SINR arithmetic stays float64,
         so the only deviation from the default is the rounding of the
-        stored matrix entries (plus float32 accumulation in the batched
-        GEMM totals).  Opt-in: reception decisions within ~1e-7 of the
-        threshold (or strongest-sender ties within ~1e-7 relative) may
+        stored matrix entries.  Opt-in: reception decisions within ~1e-7 of
+        the threshold (or strongest-sender ties within ~1e-7 relative) may
         resolve differently from float64 storage, and the reported SINR of
         very strong receptions (near-colocated senders) carries amplified
         relative error -- the *reciprocal* SINR stays accurate to ~1e-5,
@@ -96,7 +96,6 @@ class DenseMatrixBackend(PhysicsBackend):
         gains[np.isinf(gains)] = self._colocated_gain
         self._gains = gains.astype(gain_dtype, copy=False)
         self._distances = distances
-        self._topk: Optional[np.ndarray] = None
 
     @classmethod
     def from_distance_matrix(
@@ -174,9 +173,8 @@ class DenseMatrixBackend(PhysicsBackend):
     def update_positions(self, indices: np.ndarray, new_xy: np.ndarray) -> None:
         """Move nodes, recomputing only the touched gain/distance rows and columns.
 
-        Cost is O(m * n) for ``m`` moved nodes (plus an O((K + m) * n) patch
-        of the cached top-K rank table when one exists) instead of the
-        O(n^2) full rebuild -- the speedup
+        Cost is O(m * n) for ``m`` moved nodes instead of the O(n^2) full
+        rebuild -- the speedup
         ``benchmarks/bench_dynamic_incremental.py`` records.
         """
         positions = self._require_positions("update_positions")
@@ -191,8 +189,6 @@ class DenseMatrixBackend(PhysicsBackend):
         gains = self._gain_rows(dist, indices)
         self._gains[indices, :] = gains
         self._gains[:, indices] = gains.T
-        if self._topk is not None:
-            self._patch_topk(indices)
 
     def add_nodes(self, new_xy: np.ndarray) -> None:
         """Append nodes: one O(m * n) distance/gain band, no full rebuild."""
@@ -220,8 +216,6 @@ class DenseMatrixBackend(PhysicsBackend):
         gains[old_n:, :] = gain_band
         gains[:, old_n:] = gain_band.T
         self._gains = gains
-        # The rank table is rebuilt lazily on the next batched evaluation.
-        self._topk = None
 
     def remove_nodes(self, indices: np.ndarray) -> None:
         """Delete nodes and compact the matrices (works for metric-only backends too)."""
@@ -238,212 +232,3 @@ class DenseMatrixBackend(PhysicsBackend):
         self._distances = self._distances[np.ix_(keep, keep)]
         self._gains = self._gains[np.ix_(keep, keep)]
         self._n = len(keep)
-        self._topk = None
-
-    # ------------------------------------------------------------------ #
-    # Columnar schedule evaluation (gemm + top-k fast path).
-    # ------------------------------------------------------------------ #
-
-    #: Per-listener strongest-sender table depth.  48 ranks make the
-    #: probability that none of a round's transmitters appears in a
-    #: listener's table negligible for the selector densities the paper's
-    #: schedules use; misses fall back to an exact gather.
-    _TOPK_DEPTH = 48
-
-    def _topk_table(self) -> np.ndarray:
-        """``(K, n)`` sender indices, per listener column sorted by gain desc.
-
-        Built lazily on the first batched schedule evaluation and reused for
-        every subsequent schedule over this placement.  Rationale: the
-        strongest transmitter of a round, at listener ``j``, is the
-        best-*globally-ranked* member of the transmitter set -- so if any of
-        ``j``'s top-K senders transmits, the decoded sender is the first of
-        them in rank order, found with one boolean gather instead of an
-        argmax over the full gain sub-matrix.
-        """
-        if self._topk is None:
-            # Ties (equal gains, e.g. equidistant or co-located senders) are
-            # ranked in arbitrary partition order.  That never changes a
-            # reported delivery: with beta > 1 a listener decodes only a
-            # *strict* strongest transmitter (two tied maxima bound its SINR
-            # below 1), so tied senders are only ever picked for listeners
-            # that fail the threshold anyway.
-            k = min(self._TOPK_DEPTH, self._n)
-            self._topk = self._topk_columns(np.arange(self._n), k)
-        return self._topk
-
-    def _topk_columns(self, cols: np.ndarray, k: int) -> np.ndarray:
-        """Exact ``(k, len(cols))`` strongest-sender table for the given listeners."""
-        identity = len(cols) == self._n and bool(np.array_equal(cols, np.arange(self._n)))
-        sub = self._gains if identity else self._gains[:, cols]
-        part = np.argpartition(-sub, k - 1, axis=0)[:k]
-        part_gains = np.take_along_axis(sub, part, axis=0)
-        order = np.argsort(-part_gains, axis=0, kind="stable")
-        return np.take_along_axis(part, order, axis=0)
-
-    def _patch_topk(self, moved: np.ndarray) -> None:
-        """Patch the cached rank table after the nodes in ``moved`` changed position.
-
-        Columns of *moved listeners* are recomputed exactly (every gain in
-        the column changed).  Every other column is patched in place: the
-        moved senders (at their new gains) are merged into the column's
-        retained entries, and any slot that can no longer be proven exact is
-        padded with the weakest provably-exact entry.  The table invariant
-        the fast reception path relies on -- every sender absent from a
-        column is at most as strong as every entry in it -- is preserved:
-
-        * an absent non-moved sender was already outside the exact top-K, so
-          it is bounded by the old K-th gain, which is at most ``gmin`` (the
-          weakest retained non-moved entry);
-        * an absent moved sender was explicitly compared against the kept
-          entries during the merge.
-
-        Padding duplicates an in-table sender, which is harmless to the
-        first-present-in-rank-order winner scan.
-        """
-        topk = self._topk
-        k = topk.shape[0]
-        moved_mask = np.zeros(self._n, dtype=bool)
-        moved_mask[moved] = True
-        keep_cols = np.flatnonzero(~moved_mask)
-        fresh = [moved]
-        if keep_cols.size:
-            # Work listener-major ((c, k + m) row-contiguous arrays): the
-            # per-column sort below is the hot operation and is several times
-            # faster along the last axis.
-            retained = np.ascontiguousarray(topk[:, keep_cols].T)  # (c, k)
-            stale = moved_mask[retained]  # entries whose gain changed under them
-            cand = np.hstack(
-                [retained, np.broadcast_to(moved[None, :], (keep_cols.size, len(moved)))]
-            )
-            cand_gain = self._gains[cand, keep_cols[:, None]]
-            # Old occurrences of moved senders are superseded by the appended
-            # fresh copies; sink them to the bottom of the ordering.
-            cand_gain[:, :k][stale] = -np.inf
-            nonmoved_gain = np.where(stale, np.inf, cand_gain[:, :k])
-            gmin = nonmoved_gain.min(axis=1)
-            # A column whose entries all moved retains no exact anchor.
-            wholly_stale = ~np.isfinite(gmin)
-            order = np.argsort(-cand_gain, axis=1, kind="stable")[:, :k]
-            new_entries = np.take_along_axis(cand, order, axis=1)
-            new_gain = np.take_along_axis(cand_gain, order, axis=1)
-            unsafe = new_gain < gmin[:, None]  # a suffix of each (sorted) row
-            safe_count = k - unsafe.sum(axis=1)
-            pad = new_entries[np.arange(keep_cols.size), np.maximum(safe_count - 1, 0)]
-            topk[:, keep_cols] = np.where(unsafe, pad[:, None], new_entries).T
-            if wholly_stale.any():
-                fresh.append(keep_cols[wholly_stale])
-        fresh_cols = np.concatenate(fresh)
-        topk[:, fresh_cols] = self._topk_columns(fresh_cols, k)
-
-    def receptions_table(
-        self,
-        tx_indptr: np.ndarray,
-        tx_members: np.ndarray,
-        listeners: Optional[Sequence[int]] = None,
-        *,
-        round_batch: Optional[object] = None,
-    ) -> DeliveryTable:
-        """Columnar schedule evaluation specialized to the dense matrix.
-
-        Two structural shortcuts over the generic chunked path, with
-        identical semantics:
-
-        * per-round interference totals for *all* rounds come from one BLAS
-          matrix product (0/1 round-membership matrix x gain matrix) instead
-          of per-round gather-and-sum;
-        * the strongest transmitter per listener is read off the cached
-          per-listener top-K rank table (:meth:`_topk_table`); rounds whose
-          transmitter set misses a listener's table fall back to an exact
-          gather for just those listeners.
-
-        Reported SINR values can differ from the generic path in the last
-        ulp (BLAS accumulation order), which is within the documented
-        cross-backend tolerance.
-        """
-        del round_batch  # perf hint for the spatial backend; dense batches via BLAS
-        tx_indptr = np.ascontiguousarray(tx_indptr, dtype=np.int64)
-        tx_members = np.ascontiguousarray(tx_members, dtype=np.int64)
-        num_rounds = len(tx_indptr) - 1
-        rx = self._normalize_listeners(listeners)
-        if rx.size == 0 or num_rounds == 0 or len(tx_members) == 0:
-            return _empty_table(num_rounds)
-
-        n = self._n
-        gains = self._gains
-        noise = self._params.noise
-        threshold = self._params.beta - NUMERIC_TOLERANCE
-        pos_in_rx = np.full(n, -1, dtype=np.int64)
-        pos_in_rx[rx] = np.arange(rx.size)
-        # Gain columns restricted to the listener pool (no copy when the pool
-        # is exactly the identity order, the common case for schedule
-        # executions; a permuted or partial pool needs the gather).
-        identity_pool = rx.size == n and bool(np.array_equal(rx, np.arange(n)))
-        gains_rx = gains if identity_pool else gains[:, rx]
-        topk_rx = self._topk_table()[:, rx]
-        cols = np.arange(rx.size)
-        in_tx = np.zeros(n, dtype=bool)
-
-        out_rounds: List[np.ndarray] = []
-        out_receivers: List[np.ndarray] = []
-        out_senders: List[np.ndarray] = []
-        out_sinr: List[np.ndarray] = []
-
-        round_ids_all = np.repeat(np.arange(num_rounds, dtype=np.int64), np.diff(tx_indptr))
-        chunk_rounds = max(1, self._BATCH_BLOCK_ELEMENTS // max(n, rx.size))
-        for start in range(0, num_rounds, chunk_rounds):
-            end = min(num_rounds, start + chunk_rounds)
-            lo, hi = int(tx_indptr[start]), int(tx_indptr[end])
-            if lo == hi:
-                continue
-            members_chunk = tx_members[lo:hi]
-            # One BLAS product yields every round's per-listener total power.
-            # The membership matrix matches the gain storage dtype so a
-            # float32 matrix multiplies without an O(n^2) float64 upcast.
-            membership = np.zeros((end - start, n), dtype=gains.dtype)
-            membership[round_ids_all[lo:hi] - start, members_chunk] = 1.0
-            totals = membership @ gains_rx
-
-            for t in range(start, end):
-                t_lo, t_hi = int(tx_indptr[t]), int(tx_indptr[t + 1])
-                if t_lo == t_hi:
-                    continue
-                tx_slice = tx_members[t_lo:t_hi]
-                in_tx[tx_slice] = True
-                present = in_tx[topk_rx]
-                first = present.argmax(axis=0)
-                senders = topk_rx[first, cols]
-                missed = np.flatnonzero(~present[first, cols])
-                if missed.size:
-                    # No table entry transmits for these listeners: exact
-                    # gather over the round's transmitter set.
-                    sub = gains[np.ix_(tx_slice, rx[missed])]
-                    senders[missed] = tx_slice[sub.argmax(axis=0)]
-                in_tx[tx_slice] = False
-
-                # Widen to float64 before the SINR arithmetic so float32
-                # storage only contributes its rounding of the stored gains.
-                best_gain = gains_rx[senders, cols].astype(np.float64, copy=False)
-                total_power = totals[t - start].astype(np.float64, copy=False)
-                best_sinr = best_gain / (noise + (total_power - best_gain))
-                ok = best_sinr >= threshold
-                # Half-duplex: a round's transmitters never receive in it.
-                own = pos_in_rx[tx_slice]
-                ok[own[own >= 0]] = False
-                picked = np.flatnonzero(ok)
-                if not picked.size:
-                    continue
-                out_rounds.append(np.full(picked.size, t, dtype=np.int64))
-                out_receivers.append(rx[picked])
-                out_senders.append(senders[picked])
-                out_sinr.append(best_sinr[picked])
-
-        if not out_rounds:
-            return _empty_table(num_rounds)
-        return DeliveryTable(
-            num_rounds=num_rounds,
-            round_ids=np.concatenate(out_rounds),
-            receivers=np.concatenate(out_receivers),
-            senders=np.concatenate(out_senders),
-            sinr=np.concatenate(out_sinr),
-        )

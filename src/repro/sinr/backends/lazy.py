@@ -201,9 +201,9 @@ class LazyBlockBackend(PhysicsBackend):
         return gains
 
     def _rows(self, senders: np.ndarray) -> np.ndarray:
-        """Gain rows for ``senders`` (cache-served, LRU-evicted)."""
+        """Gain rows for distinct ``senders`` (cache-served, LRU-evicted)."""
         cache = self._cache
-        fresh = list(dict.fromkeys(int(s) for s in senders if int(s) not in cache))
+        fresh = [int(s) for s in senders if int(s) not in cache]
         if fresh:
             computed = self._compute_rows(np.array(fresh, dtype=int))
             self._misses += len(fresh)
@@ -228,6 +228,11 @@ class LazyBlockBackend(PhysicsBackend):
         return out
 
     def gain_block(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-        """Gain sub-matrix, assembled from cached/recomputed rows."""
-        rows = self._rows(np.asarray(senders, dtype=int))
-        return rows[:, np.asarray(receivers, dtype=int)]
+        """Gain sub-matrix, assembled from cached/recomputed rows.
+
+        Each distinct sender's row is fetched once: a chunk of schedule
+        rounds lists a node once per round it transmits in.
+        """
+        uniq, inv = np.unique(np.asarray(senders, dtype=int), return_inverse=True)
+        rows = self._rows(uniq)
+        return rows[np.ix_(inv, np.asarray(receivers, dtype=int))]

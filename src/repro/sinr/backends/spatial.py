@@ -34,10 +34,9 @@ dense backend event for event (up to the usual last-ulp float-summation
 differences between backends); ``tests/test_spatial_backend.py`` pins the
 equivalence on randomized deployments, including incremental mutations.
 
-The per-round hot loops (pair gains, near-field segment reduction, exact
-strongest-transmitter resolution) run through the optional compiled kernels
-of :mod:`repro.sinr.backends._kernels` (Numba ``@njit`` when available,
-pure NumPy otherwise).
+The hot loops (pair gains, near-field segment reduction, exact
+strongest-transmitter resolution) are the NumPy primitives of
+:mod:`repro.sinr.backends._kernels`.
 
 **The batched round driver.**  A full algorithm execution issues ~10^5
 schedule rounds, and at 100k+ nodes each round's *physics* is cheap -- the
@@ -48,12 +47,14 @@ evaluation (:meth:`_batch_core`): transmitters are keyed by ``round x
 tile``, candidates become unique ``(round, listener)`` pairs, and every
 stage -- the 3x3 join, the ring shells, the grouped far-field bound and the
 segmented exact fallback -- runs once per batch instead of once per round.
-The batched and per-round paths share the same grouped reduction helpers
-(sequential per-segment accumulation, chunked only at segment boundaries),
-which makes them **bit-identical**: fusing rounds changes neither events
-nor reported SINR values, and splitting a schedule at any round boundary is
-associative.  ``tests/test_backend_differential.py`` pins both properties
-across backends, schedule families, batch sizes and kernel variants.
+It is the only spatial reception path: a single round (``receptions``) and
+``round_batch=1`` are batches of one.  Every reduction is grouped per
+segment (sequential per-segment accumulation, chunked only at segment
+boundaries), which makes the result **bit-identical** for every batch
+size: fusing rounds changes neither events nor reported SINR values, and
+splitting a schedule at any round boundary is associative.
+``tests/test_backend_differential.py`` pins both properties across
+backends, schedule families and batch sizes.
 
 Soundness of the certificates (all bounds are cell-rectangle bounds, valid
 for any point positions inside the cells):
@@ -81,7 +82,7 @@ import numpy as np
 
 from ..model import NUMERIC_TOLERANCE, SINRParameters
 from . import _kernels
-from .base import COLOCATED_GAIN, DeliveryTable, PhysicsBackend, Reception, _empty_table
+from .base import COLOCATED_GAIN, DeliveryTable, PhysicsBackend, _empty_table
 
 #: Default cell side, as a multiple of the transmission range.  The margin
 #: over 1.0 guarantees that any transmitter beyond the 3x3 near block (at
@@ -162,8 +163,7 @@ class SpatialGridBackend(PhysicsBackend):
         an ``int >= 1`` or ``"auto"`` (the default), which sizes batches to
         ~4096 schedule entries, capped at 64 rounds.  Purely a performance
         knob -- results are bit-identical for every value (``1`` disables
-        fusing and runs the per-round core).  Individual
-        ``receptions_table`` calls may override it.
+        fusing).
     """
 
     def __init__(
@@ -276,9 +276,9 @@ class SpatialGridBackend(PhysicsBackend):
         ``batches``, ``rounds_fused``, ``rounds_single``, ``rounds_empty``,
         ``join_entries``) describe only the most recent
         :meth:`receptions_table` call and satisfy ``rounds_fused +
-        rounds_single + rounds_empty == num_rounds`` for that call.
-        ``kernel_backend`` reports whether the compiled (``"numba"``) or
-        pure-NumPy kernels are dispatching.
+        rounds_single + rounds_empty == num_rounds`` for that call:
+        ``rounds_single`` counts non-empty rounds that were the only
+        non-empty round of their batch, ``rounds_fused`` the rest.
         """
         self._ensure_grid()
         ncx, ncy = self._shape  # type: ignore[misc]
@@ -287,7 +287,6 @@ class SpatialGridBackend(PhysicsBackend):
             "cells_x": ncx,
             "cells_y": ncy,
             "max_ring": self._max_ring,
-            "kernel_backend": _kernels.KERNEL_BACKEND,
         }
         info.update(self._stats)
         info.update(self._batch_stats)
@@ -423,7 +422,7 @@ class SpatialGridBackend(PhysicsBackend):
         utiles: np.ndarray,
         tile_starts: np.ndarray,
         tile_counts: np.ndarray,
-        base_key: Optional[np.ndarray] = None,
+        base_key: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(listener position, tx-sorted position) pairs for the given tile offsets.
 
@@ -435,11 +434,10 @@ class SpatialGridBackend(PhysicsBackend):
         runs tens of thousands of times per local-broadcast execution, so
         no Python loop over offsets.
 
-        When ``base_key`` is given (the batched driver), it is a
-        per-listener composite offset -- ``relative round x cell count`` --
-        added to each neighbour tile id, and ``utiles`` holds matching
-        composite ``(round, tile)`` keys: the same join then matches only
-        transmitter tiles of the listener's own round.
+        ``base_key`` is a per-listener composite offset -- ``relative round
+        x cell count`` -- added to each neighbour tile id, and ``utiles``
+        holds matching composite ``(round, tile)`` keys: the join matches
+        only transmitter tiles of the listener's own round.
         """
         ncx, ncy = self._shape  # type: ignore[misc]
         tx_ = lcx[:, None] + offsets[:, 0][None, :]
@@ -448,9 +446,7 @@ class SpatialGridBackend(PhysicsBackend):
         lidx = np.broadcast_to(
             np.arange(lcx.size, dtype=np.int64)[:, None], tx_.shape
         )[ok]
-        tiles = tx_[ok] * ncy + ty_[ok]
-        if base_key is not None:
-            tiles = tiles + base_key[lidx]
+        tiles = tx_[ok] * ncy + ty_[ok] + base_key[lidx]
         pos = np.minimum(np.searchsorted(utiles, tiles), utiles.size - 1)
         hit = utiles[pos] == tiles
         pos = pos[hit]
@@ -509,8 +505,7 @@ class SpatialGridBackend(PhysicsBackend):
         tile -- valid wherever the individual nodes sit inside their cells.
 
         ``ltile_keys`` are composite ``relative round x cell count + tile``
-        keys per listener (plain tile ids in the single-round case, where
-        every relative round is 0); ``ucx``/``ucy``/``tile_counts`` describe
+        keys per listener; ``ucx``/``ucy``/``tile_counts`` describe
         the occupied transmitter tiles in composite order and
         ``round_tile_ptr`` is the CSR pointer from relative round to its
         tile range.  The bound depends on the listener only through its
@@ -518,8 +513,8 @@ class SpatialGridBackend(PhysicsBackend):
         ragged (query x same-round tiles) join reduced with ``bincount``,
         whose per-query accumulation order is the round's tile order
         regardless of batching or chunk boundaries (chunks split only
-        between queries).  That order-stability is what keeps the batched
-        and per-round drivers bit-identical.
+        between queries).  That order-stability is what keeps results
+        bit-identical across batch sizes.
         """
         ncx, ncy = self._shape  # type: ignore[misc]
         ncells = np.int64(ncx) * np.int64(ncy)
@@ -565,8 +560,8 @@ class SpatialGridBackend(PhysicsBackend):
         upstream), so no self-pair zeroing is needed.  Pair lists are
         chunked only at candidate boundaries and each segment accumulates
         sequentially, so results are independent of chunking and of how
-        candidates from different rounds are interleaved -- the batched and
-        per-round drivers agree bit for bit.
+        candidates from different rounds are interleaved -- every batch
+        size agrees bit for bit.
         """
         u = rx_nodes.size
         totals = np.empty(u)
@@ -596,167 +591,8 @@ class SpatialGridBackend(PhysicsBackend):
             start = end
         return totals, best_gain, best_sender
 
-    def _round_core(
-        self,
-        tx: np.ndarray,
-        rx: np.ndarray,
-        rx_cells_sorted: np.ndarray,
-        rx_local_sorted: np.ndarray,
-        in_tx: Optional[np.ndarray] = None,
-        tx_sorted: Optional[np.ndarray] = None,
-        tcell_sorted: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One round: certified pruning, ring expansion, exact fallback.
-
-        ``tx`` is the (duplicate-free) transmitter index array; ``rx`` the
-        listener pool, pre-bucketed as ``rx_cells_sorted`` (its cell ids,
-        sorted) and ``rx_local_sorted`` (the matching rx-local indices).
-        ``in_tx``, when given, is a node-indexed mask excluding the round's
-        own transmitters (half-duplex) from the candidate set.
-        ``tx_sorted``/``tcell_sorted``, when given, are the round's
-        transmitters already stably sorted by cell id (the schedule driver
-        derives them from one per-schedule composite argsort instead of
-        paying the per-round argsort floor).  Returns the accepted
-        ``(rx-local receiver, sender, sinr)`` arrays sorted by rx-local
-        index -- the listener-array order the delivery table uses.
-        """
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=float),
-        )
-        params = self._params
-        noise = params.noise
-        threshold = params.beta - NUMERIC_TOLERANCE
-        stats = self._stats
-        stats["rounds"] += 1
-        stats["listeners"] += rx.size
-        _, ncy = self._shape  # type: ignore[misc]
-
-        # Bucket the round's transmitters by tile (unless pre-sorted).
-        if tx_sorted is None or tcell_sorted is None:
-            tcell = self._cell_of[tx]
-            torder = np.argsort(tcell, kind="stable")
-            tx_sorted = tx[torder]
-            tcell_sorted = tcell[torder]
-        cuts = np.flatnonzero(np.diff(tcell_sorted)) + 1
-        tile_starts = np.concatenate([[0], cuts]).astype(np.int64)
-        utiles = tcell_sorted[tile_starts]
-        tile_counts = np.diff(np.concatenate([tile_starts, [tcell_sorted.size]]))
-        ucx, ucy = np.divmod(utiles, ncy)
-
-        # Candidate listeners: anyone in a tile Chebyshev-adjacent to an
-        # occupied transmitter tile.  Everyone else has no transmitter
-        # within the 3x3 near block, so their best achievable signal is
-        # below the solo-decoding threshold: certified-rejected for free.
-        ncx = self._shape[0]  # type: ignore[index]
-        offs = self._block_arr(1)
-        nx_ = ucx[:, None] + offs[:, 0][None, :]
-        ny_ = ucy[:, None] + offs[:, 1][None, :]
-        ok = (nx_ >= 0) & (nx_ < ncx) & (ny_ >= 0) & (ny_ < ncy)
-        cand_tiles = np.unique(nx_[ok] * ncy + ny_[ok])
-        lo = np.searchsorted(rx_cells_sorted, cand_tiles, side="left")
-        hi = np.searchsorted(rx_cells_sorted, cand_tiles, side="right")
-        cand = rx_local_sorted[_csr_take(lo, hi - lo)]
-        if in_tx is not None and cand.size:
-            cand = cand[~in_tx[rx[cand]]]
-        if not cand.size:
-            return empty
-        stats["candidates"] += cand.size
-
-        cand_cells = self._cell_of[rx[cand]]
-        lcx, lcy = np.divmod(cand_cells, ncy)
-        cand_xy = self._positions[rx[cand]]
-
-        # Ring 1: exact gains over the 3x3 near block.
-        pair_l, pair_t = self._tx_pairs(
-            lcx, lcy, self._block_arr(1), utiles, tile_starts, tile_counts,
-        )
-        stats["near_pairs"] += pair_l.size
-        gains = _kernels.pair_gains(
-            self._positions[tx_sorted[pair_t]], cand_xy[pair_l],
-            params.power, params.alpha, COLOCATED_GAIN,
-        )
-        near_sum, near_max = _kernels.near_reduce(pair_l, gains, cand.size)
-
-        # Certificate 1 (signal): out-of-block gains are below the solo
-        # threshold by construction, so listeners whose best near-field
-        # gain is too cannot be decoded by anyone.
-        und = np.flatnonzero(near_max >= threshold * noise)
-        stats["pruned_signal"] += cand.size - und.size
-        if not und.size:
-            return empty
-
-        # Certificate 2 (near interference): for survivors the global
-        # strongest transmitter *is* the near-field maximum, and the exact
-        # near sum lower-bounds the total power.
-        ub = near_max[und] / (noise + (near_sum[und] - near_max[und]))
-        keep = ub >= threshold
-        stats["pruned_near"] += und.size - int(keep.sum())
-        und = und[keep]
-
-        # Ring expansion: widen the exact region shell by shell, tightening
-        # the interference lower bound until the rejection is certified.
-        for ring in range(2, self._max_ring + 1):
-            if not und.size:
-                break
-            shell_l, shell_t = self._tx_pairs(
-                lcx[und], lcy[und], self._shell_arr(ring),
-                utiles, tile_starts, tile_counts,
-            )
-            if shell_l.size:
-                stats["near_pairs"] += shell_l.size
-                shell_gains = _kernels.pair_gains(
-                    self._positions[tx_sorted[shell_t]], cand_xy[und][shell_l],
-                    params.power, params.alpha, COLOCATED_GAIN,
-                )
-                shell_sum, _ = _kernels.near_reduce(shell_l, shell_gains, und.size)
-                near_sum[und] += shell_sum
-            ub = near_max[und] / (noise + (near_sum[und] - near_max[und]))
-            keep = ub >= threshold
-            stats["pruned_near"] += und.size - int(keep.sum())
-            und = und[keep]
-
-        # Far-field tile aggregation beyond the widest ring.
-        if und.size:
-            far_lo = self._far_lower_bound(
-                cand_cells[und],
-                ucx,
-                ucy,
-                tile_counts,
-                np.array([0, utiles.size], dtype=np.int64),
-                self._max_ring,
-            )
-            ub = near_max[und] / (noise + (near_sum[und] - near_max[und]) + far_lo)
-            keep = ub >= threshold
-            stats["pruned_far"] += und.size - int(keep.sum())
-            und = und[keep]
-        if not und.size:
-            return empty
-
-        # Exact fallback: full-row evaluation for the rare undecidable
-        # listener (and every actual receiver), with the dense formulas.
-        stats["exact"] += und.size
-        totals, best_gain, best_sender = self._exact_eval_segments(
-            tx,
-            np.zeros(und.size, dtype=np.int64),
-            np.full(und.size, tx.size, dtype=np.int64),
-            rx[cand[und]],
-        )
-        best_sinr = best_gain / (noise + (totals - best_gain))
-        ok = np.flatnonzero(best_sinr >= threshold)
-        if not ok.size:
-            return empty
-        receivers = cand[und[ok]]
-        order = np.argsort(receivers, kind="stable")
-        return (
-            receivers[order],
-            best_sender[ok[order]],
-            best_sinr[ok[order]],
-        )
-
     # ------------------------------------------------------------------ #
-    # Protocol entry points built on the certified round core.
+    # The batched schedule driver.
     # ------------------------------------------------------------------ #
 
     def _bucket_listeners(self, rx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -783,39 +619,7 @@ class SpatialGridBackend(PhysicsBackend):
         self._listener_cache = (self._grid_version, rx.copy(), result[0], result[1])
         return result
 
-    def receptions(
-        self,
-        transmitters: Sequence[int],
-        listeners: Optional[Sequence[int]] = None,
-    ) -> Dict[int, Reception]:
-        """Per-listener decoded senders for one round (spatial fast path)."""
-        transmitters = list(dict.fromkeys(int(t) for t in transmitters))
-        if not transmitters:
-            return {}
-        tx = np.array(transmitters, dtype=np.int64)
-        if listeners is None:
-            mask = np.ones(self._n, dtype=bool)
-            mask[tx] = False
-            rx = np.flatnonzero(mask)
-        else:
-            tx_set = set(transmitters)
-            ids = list(dict.fromkeys(int(v) for v in listeners if int(v) not in tx_set))
-            if not ids:
-                return {}
-            rx = np.array(ids, dtype=np.int64)
-        if not rx.size:
-            return {}
-        self._ensure_grid()
-        cells_sorted, locals_sorted = self._bucket_listeners(rx)
-        recv, send, sinr = self._round_core(tx, rx, cells_sorted, locals_sorted)
-        return {
-            int(rx[r]): Reception(receiver=int(rx[r]), sender=int(s), sinr=float(q))
-            for r, s, q in zip(recv, send, sinr)
-        }
-
-    def _resolve_round_batch(
-        self, override: Optional[object], tx_indptr: np.ndarray, tx_members: np.ndarray
-    ) -> int:
+    def _resolve_round_batch(self, tx_indptr: np.ndarray, tx_members: np.ndarray) -> int:
         """Concrete batch size for this run: the knob, or the auto heuristic.
 
         ``"auto"`` targets ~``_AUTO_BATCH_TARGET`` schedule entries per
@@ -823,7 +627,7 @@ class SpatialGridBackend(PhysicsBackend):
         sparse rounds (the TDMA/backoff regime where the per-round call
         floor dominates) batch up to ``_MAX_ROUND_BATCH``.
         """
-        value = self._round_batch if override is None else _validate_round_batch(override)
+        value = self._round_batch
         if value == "auto":
             num_rounds = len(tx_indptr) - 1
             if num_rounds <= 1:
@@ -850,10 +654,10 @@ class SpatialGridBackend(PhysicsBackend):
         ``btx``/``btcell``/``bround`` are the batch's transmitters, their
         cell ids and their *relative* round ids, stably sorted by
         ``(round, cell)`` -- slices of the per-schedule composite argsort.
-        Every stage of :meth:`_round_core` runs here exactly once for the
-        whole batch, keyed by ``relative round x cell count + tile`` so
-        rounds never mix; per-listener pair sequences, reduction orders and
-        chunk-boundary rules are identical to the per-round core, making
+        Every stage runs exactly once for the whole batch, keyed by
+        ``relative round x cell count + tile`` so rounds never mix;
+        per-listener pair sequences, reduction orders and chunk-boundary
+        rules do not depend on which other rounds share the batch, making
         the fused results bit-identical to running rounds one at a time.
         Returns ``(absolute round id, rx-local receiver, sender, sinr)``
         arrays in round-major, receiver-sorted order.
@@ -889,11 +693,15 @@ class SpatialGridBackend(PhysicsBackend):
         stats["rounds"] += nonempty
         stats["listeners"] += rx.size * nonempty
 
-        # Candidate (round, listener) pairs: unique composite neighbour
-        # tiles of the occupied transmitter tiles, joined against the
-        # cell-sorted listener pool.  Composite unique keys are round-major
-        # and tile-sorted within a round -- exactly the concatenation of the
-        # per-round candidate lists.
+        # Candidate (round, listener) pairs: listeners in a tile
+        # Chebyshev-adjacent to an occupied transmitter tile of the same
+        # round.  Everyone else has no transmitter within the 3x3 near
+        # block, so their best achievable signal is below the solo-decoding
+        # threshold: certified-rejected for free.  The candidates are the
+        # unique composite neighbour tiles of the occupied transmitter
+        # tiles, joined against the cell-sorted listener pool.  Composite
+        # unique keys are round-major and tile-sorted within a round --
+        # exactly the concatenation of the per-round candidate lists.
         offs = self._block_arr(1)
         nx_ = ucx[:, None] + offs[:, 0][None, :]
         ny_ = ucy[:, None] + offs[:, 1][None, :]
@@ -926,7 +734,7 @@ class SpatialGridBackend(PhysicsBackend):
 
         # Ring 1: exact gains over each candidate's own-round 3x3 block.
         pair_l, pair_t = self._tx_pairs(
-            lcx, lcy, offs, utile_key, tile_starts, tile_counts, base_key=base_key
+            lcx, lcy, offs, utile_key, tile_starts, tile_counts, base_key
         )
         stats["near_pairs"] += pair_l.size
         bstats["join_entries"] += pair_l.size
@@ -936,25 +744,30 @@ class SpatialGridBackend(PhysicsBackend):
         )
         near_sum, near_max = _kernels.near_reduce(pair_l, gains, cand.size)
 
-        # Certificate 1 (signal).
+        # Certificate 1 (signal): out-of-block gains are below the solo
+        # threshold by construction, so listeners whose best near-field
+        # gain is too cannot be decoded by anyone.
         und = np.flatnonzero(near_max >= threshold * noise)
         stats["pruned_signal"] += cand.size - und.size
         if not und.size:
             return empty
 
-        # Certificate 2 (near interference).
+        # Certificate 2 (near interference): for survivors the global
+        # strongest transmitter *is* the near-field maximum, and the exact
+        # near sum lower-bounds the total power.
         ub = near_max[und] / (noise + (near_sum[und] - near_max[und]))
         keep = ub >= threshold
         stats["pruned_near"] += und.size - int(keep.sum())
         und = und[keep]
 
-        # Ring expansion, shell by shell.
+        # Ring expansion: widen the exact region shell by shell, tightening
+        # the interference lower bound until the rejection is certified.
         for ring in range(2, self._max_ring + 1):
             if not und.size:
                 break
             shell_l, shell_t = self._tx_pairs(
                 lcx[und], lcy[und], self._shell_arr(ring),
-                utile_key, tile_starts, tile_counts, base_key=base_key[und],
+                utile_key, tile_starts, tile_counts, base_key[und],
             )
             if shell_l.size:
                 stats["near_pairs"] += shell_l.size
@@ -984,8 +797,9 @@ class SpatialGridBackend(PhysicsBackend):
         if not und.size:
             return empty
 
-        # Segmented exact fallback: each survivor against its own round's
-        # transmitters in schedule order.
+        # Segmented exact fallback (the rare undecidable listener and every
+        # actual receiver), with the dense formulas: each survivor against
+        # its own round's transmitters in schedule order.
         stats["exact"] += und.size
         abs_round = cand_round[und] + t0
         seg_starts = tx_indptr[abs_round]
@@ -1012,28 +826,25 @@ class SpatialGridBackend(PhysicsBackend):
         tx_indptr: np.ndarray,
         tx_members: np.ndarray,
         listeners: Optional[Sequence[int]] = None,
-        *,
-        round_batch: Optional[object] = None,
     ) -> DeliveryTable:
-        """Columnar schedule evaluation through the spatial round core.
+        """Columnar schedule evaluation through the certified batch core.
 
         The listener pool is bucketed once per call and the transmitter
         table is tile-sorted once with a single composite ``(round, cell)``
-        argsort; consecutive rounds are then fused ``round_batch`` at a time
-        through :meth:`_batch_core` (or evaluated one by one through
-        :meth:`_round_core` when the resolved batch size is 1).  Results
-        are bit-identical for every batch size -- fusing only amortizes the
-        per-round NumPy call floors.  ``round_batch`` overrides the
-        backend's configured default for this call (``int >= 1`` or
-        ``"auto"``); :meth:`grid_info` reports the resolved size and the
-        per-run fuse counters.  Semantically identical to the generic
-        chunked path (property-tested against the dense backend).
+        argsort; consecutive rounds are then fused ``round_batch`` (the
+        constructor knob) at a time through :meth:`_batch_core`.  Results
+        are bit-identical for every batch size, 1 included -- fusing only
+        amortizes the per-round NumPy call floors.  :meth:`grid_info`
+        reports the resolved size and the per-run fuse counters.
+        Semantically identical to the generic chunked path
+        (property-tested against the dense backend and a brute-force
+        Equation 1 oracle).
         """
         tx_indptr = np.ascontiguousarray(tx_indptr, dtype=np.int64)
         tx_members = np.ascontiguousarray(tx_members, dtype=np.int64)
         num_rounds = len(tx_indptr) - 1
         rx = self._normalize_listeners(listeners)
-        batch = self._resolve_round_batch(round_batch, tx_indptr, tx_members)
+        batch = self._resolve_round_batch(tx_indptr, tx_members)
         bstats = self._batch_stats
         for key in bstats:
             bstats[key] = 0
@@ -1045,9 +856,9 @@ class SpatialGridBackend(PhysicsBackend):
         cells_sorted, locals_sorted = self._bucket_listeners(rx)
 
         # One composite (round, cell) argsort for the whole schedule: every
-        # round's tile-sorted transmitter slice -- batched or not -- is a
-        # slice of this order (stable sort of round-major keys == the
-        # concatenation of per-round stable sorts).
+        # batch's tile-sorted transmitter slice is a slice of this order
+        # (stable sort of round-major keys == the concatenation of per-round
+        # stable sorts).
         round_sizes = np.diff(tx_indptr)
         member_round = np.repeat(np.arange(num_rounds, dtype=np.int64), round_sizes)
         ncells = np.int64(self._shape[0]) * np.int64(self._shape[1])  # type: ignore[index]
@@ -1061,49 +872,27 @@ class SpatialGridBackend(PhysicsBackend):
         out_receivers: List[np.ndarray] = []
         out_senders: List[np.ndarray] = []
         out_sinr: List[np.ndarray] = []
-        if batch <= 1:
-            in_tx = np.zeros(self._n, dtype=bool)
-            for t in range(num_rounds):
-                lo, hi = int(tx_indptr[t]), int(tx_indptr[t + 1])
-                if lo == hi:
-                    bstats["rounds_empty"] += 1
-                    continue
-                tx_slice = tx_members[lo:hi]
-                in_tx[tx_slice] = True
-                recv, send, sinr = self._round_core(
-                    tx_slice, rx, cells_sorted, locals_sorted, in_tx,
-                    tx_sorted=sorted_members[lo:hi],
-                    tcell_sorted=sorted_cells[lo:hi],
-                )
-                in_tx[tx_slice] = False
-                bstats["rounds_single"] += 1
-                if recv.size:
-                    out_rounds.append(np.full(recv.size, t, dtype=np.int64))
-                    out_receivers.append(rx[recv])
-                    out_senders.append(send)
-                    out_sinr.append(sinr)
-        else:
-            for t0 in range(0, num_rounds, batch):
-                t1 = min(num_rounds, t0 + batch)
-                lo, hi = int(tx_indptr[t0]), int(tx_indptr[t1])
-                span = np.count_nonzero(round_sizes[t0:t1])
-                bstats["rounds_empty"] += (t1 - t0) - int(span)
-                if lo == hi:
-                    continue
-                bstats["batches"] += 1
-                bstats["rounds_fused"] += int(span)
-                rounds_abs, recv, send, sinr = self._batch_core(
-                    t0, t1, tx_indptr, tx_members,
-                    sorted_members[lo:hi],
-                    sorted_cells[lo:hi],
-                    sorted_rounds[lo:hi] - t0,
-                    rx, cells_sorted, locals_sorted,
-                )
-                if recv.size:
-                    out_rounds.append(rounds_abs)
-                    out_receivers.append(rx[recv])
-                    out_senders.append(send)
-                    out_sinr.append(sinr)
+        for t0 in range(0, num_rounds, batch):
+            t1 = min(num_rounds, t0 + batch)
+            lo, hi = int(tx_indptr[t0]), int(tx_indptr[t1])
+            span = int(np.count_nonzero(round_sizes[t0:t1]))
+            bstats["rounds_empty"] += (t1 - t0) - span
+            if lo == hi:
+                continue
+            bstats["batches"] += 1
+            bstats["rounds_fused" if span > 1 else "rounds_single"] += span
+            rounds_abs, recv, send, sinr = self._batch_core(
+                t0, t1, tx_indptr, tx_members,
+                sorted_members[lo:hi],
+                sorted_cells[lo:hi],
+                sorted_rounds[lo:hi] - t0,
+                rx, cells_sorted, locals_sorted,
+            )
+            if recv.size:
+                out_rounds.append(rounds_abs)
+                out_receivers.append(rx[recv])
+                out_senders.append(send)
+                out_sinr.append(sinr)
 
         if not out_rounds:
             return _empty_table(num_rounds)

@@ -2,10 +2,10 @@
 
 The contract pinned here is the repo's strongest invariant: for any seeded
 deployment and any CSR schedule, the dense, lazy and spatial backends emit
-the *same reception events* (receiver, decoded sender, round), with SINR
-values matching to tight relative tolerance -- and the spatial backend's
-batched round driver is **bit-identical** to its round-by-round path for
-every batch size, including ``"auto"``.
+the *same reception events* (receiver, decoded sender, round) as a
+brute-force evaluation of Equation 1, with SINR values matching to tight
+relative tolerance -- and the spatial backend's batched round driver is
+**bit-identical** across batch sizes, from 1 to ``"auto"``.
 
 Structure:
 
@@ -13,15 +13,17 @@ Structure:
   cycles, random-with-empty-rounds) generating CSR ``(indptr, members)``
   over node indices;
 * a backend zoo (dense float64, lazy, spatial at K in {1, 7, 64, auto});
+* a float64 loop oracle stating Equation 1 directly, checked against
+  ``receptions_table`` and ``receptions`` of every backend (dense and lazy
+  share one evaluation routine, so comparing them with each other alone
+  would not check it);
 * the matrix test sweeping families x backends x seeds;
 * bit-identity and hypothesis properties for the batched driver
-  (associativity across round splits; K=1 dispatches only ``_round_core``);
+  (associativity across round splits);
 * a golden-digest regression corpus (``golden_reception_digests.json``)
   whose failure message names the first diverging round;
 * counter-accounting and listener-cache invalidation unit tests;
-* a float32 dense leg (looser tolerance, exact events) and a subprocess
-  leg with ``REPRO_NO_NUMBA=1`` proving the NumPy kernels reproduce the
-  same event digests.
+* a float32 dense leg (looser tolerance, exact events).
 
 Regenerate the golden corpus after an *intentional* physics change with::
 
@@ -33,9 +35,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -52,7 +53,8 @@ from repro.sinr.backends import (
     SpatialGridBackend,
 )
 from repro.sinr.backends import _kernels
-from repro.sinr.model import SINRParameters
+from repro.sinr.backends.base import COLOCATED_GAIN
+from repro.sinr.model import NUMERIC_TOLERANCE, SINRParameters
 
 PARAMS = SINRParameters.default()
 
@@ -146,6 +148,75 @@ def assert_tables_bit_identical(a, b):
 
 
 # --------------------------------------------------------------------- #
+# Brute-force Equation 1 oracle.
+# --------------------------------------------------------------------- #
+
+
+def oracle_events(positions, indptr, members, listeners=None):
+    """Equation 1 by brute force: float64 loops over listener x transmitter.
+
+    Listener ``v`` decodes transmitter ``u`` in a round iff ``v`` does not
+    transmit in it (half-duplex) and ``P d(u,v)^-alpha / (N + sum over the
+    round's other transmitters w of P d(w,v)^-alpha) >= beta`` (within the
+    shared ``NUMERIC_TOLERANCE``).  Returns ``(round, receiver, sender,
+    sinr)`` tuples, round-major, receivers in listener order.
+    """
+    def gain(u, v):
+        d = math.dist(positions[u], positions[v])
+        return COLOCATED_GAIN if d == 0.0 else PARAMS.power / d ** PARAMS.alpha
+
+    pool = range(len(positions)) if listeners is None else dict.fromkeys(
+        int(v) for v in listeners)
+    events = []
+    for t in range(len(indptr) - 1):
+        tx = [int(u) for u in members[indptr[t]:indptr[t + 1]]]
+        for v in pool:
+            if v in tx:
+                continue
+            for u in tx:
+                noise_plus = PARAMS.noise + math.fsum(gain(w, v) for w in tx if w != u)
+                sinr = gain(u, v) / noise_plus
+                if sinr >= PARAMS.beta - NUMERIC_TOLERANCE:
+                    events.append((t, v, u, sinr))
+    return events
+
+
+def assert_matches_oracle(table, events, indptr, members):
+    assert [(int(t), int(r), int(s)) for t, r, s in zip(
+        table.round_ids, table.receivers, table.senders)] == [e[:3] for e in events]
+    np.testing.assert_allclose(table.sinr, [e[3] for e in events], rtol=1e-9)
+    for t, r in zip(table.round_ids, table.receivers):
+        assert r not in members[indptr[t]:indptr[t + 1]]  # half-duplex
+
+
+ORACLE_BACKENDS = ("dense", "lazy", "spatial-kauto")
+
+
+class TestEquationOneOracle:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_backends_match_brute_force(self, family, restricted):
+        n = 24
+        positions = random_positions(5, n)
+        indptr, members = schedule_csr(family, n, 5)
+        listeners = np.array([7, 3, 3, 20, 0, 11, 16]) if restricted else None
+        events = oracle_events(positions, indptr, members, listeners)
+        assert events, "vacuous: the oracle delivered nothing"
+        zoo = backend_zoo(positions)
+        for name in ORACLE_BACKENDS:
+            backend = zoo[name]
+            table = backend.receptions_table(indptr, members, listeners)
+            assert_matches_oracle(table, events, indptr, members)
+            for t in range(len(indptr) - 1):
+                got = backend.receptions(members[indptr[t]:indptr[t + 1]], listeners)
+                want = {e[1]: e for e in events if e[0] == t}
+                assert sorted(got) == sorted(want), (name, t)
+                for r, rec in got.items():
+                    assert rec.sender == want[r][2]
+                    assert rec.sinr == pytest.approx(want[r][3], rel=1e-9)
+
+
+# --------------------------------------------------------------------- #
 # The matrix: families x backends x seeds.
 # --------------------------------------------------------------------- #
 
@@ -195,27 +266,17 @@ class TestCrossBackendMatrix:
                 reference, other.receptions_table(indptr, members)
             )
 
-    def test_per_call_override_beats_constructor_knob(self):
+    def test_constructor_knob_sets_resolved_batch(self):
         n = 20
         positions = random_positions(3, n)
         indptr, members = schedule_csr("ssf", n, 3)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=64)
-        batched = backend.receptions_table(indptr, members)
-        assert backend.grid_info()["round_batch"] > 1
-        single = backend.receptions_table(indptr, members, round_batch=1)
-        assert backend.grid_info()["round_batch"] == 1
+        fused = SpatialGridBackend(positions.copy(), PARAMS, round_batch=64)
+        batched = fused.receptions_table(indptr, members)
+        assert fused.grid_info()["round_batch"] == 64
+        unfused = SpatialGridBackend(positions.copy(), PARAMS, round_batch=1)
+        single = unfused.receptions_table(indptr, members)
+        assert unfused.grid_info()["round_batch"] == 1
         assert_tables_bit_identical(batched, single)
-
-    def test_dense_and_lazy_accept_round_batch_hint(self):
-        """The knob is a portable perf hint: non-spatial backends ignore it."""
-        n = 12
-        positions = random_positions(5, n)
-        indptr, members = schedule_csr("tdma", n, 5)
-        for cls in (DenseMatrixBackend, LazyBlockBackend):
-            backend = cls(positions.copy(), PARAMS)
-            plain = backend.receptions_table(indptr, members)
-            hinted = backend.receptions_table(indptr, members, round_batch=7)
-            assert_tables_bit_identical(plain, hinted)
 
 
 class TestFloat32DenseLeg:
@@ -321,36 +382,6 @@ class TestBatchedDriverProperties:
         assert np.array_equal(full.sinr,
                               np.concatenate([head.sinr, tail.sinr]))
 
-    def test_k1_dispatches_round_core_only(self, monkeypatch):
-        """At K=1 the driver reduces to the per-round ``_round_core`` path."""
-        calls = {"round": 0, "batch": 0}
-        round_core = SpatialGridBackend._round_core
-        batch_core = SpatialGridBackend._batch_core
-
-        def counting_round(self, *args, **kwargs):
-            calls["round"] += 1
-            return round_core(self, *args, **kwargs)
-
-        def counting_batch(self, *args, **kwargs):
-            calls["batch"] += 1
-            return batch_core(self, *args, **kwargs)
-
-        monkeypatch.setattr(SpatialGridBackend, "_round_core", counting_round)
-        monkeypatch.setattr(SpatialGridBackend, "_batch_core", counting_batch)
-
-        n = 16
-        positions = random_positions(9, n)
-        indptr, members = _random_csr(n, 9, rounds=6)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=1)
-        backend.receptions_table(indptr, members)
-        assert calls["batch"] == 0
-        assert calls["round"] > 0
-
-        calls["round"] = calls["batch"] = 0
-        backend.receptions_table(indptr, members, round_batch=3)
-        assert calls["batch"] > 0
-        assert calls["round"] == 0
-
     def test_invalid_round_batch_rejected(self):
         positions = random_positions(1, 8)
         with pytest.raises(ValueError):
@@ -359,10 +390,8 @@ class TestBatchedDriverProperties:
             SpatialGridBackend(positions, PARAMS, round_batch="fast")
         with pytest.raises(ValueError):
             SpatialGridBackend(positions, PARAMS, round_batch=True)
-        backend = SpatialGridBackend(positions, PARAMS)
-        indptr, members = _random_csr(8, 1, 3)
         with pytest.raises(ValueError):
-            backend.receptions_table(indptr, members, round_batch=-2)
+            SpatialGridBackend(positions, PARAMS, round_batch=-2)
 
 
 class TestEdgeCases:
@@ -445,12 +474,17 @@ class TestBatchCounters:
         c = self._counters(backend)
         num_rounds = len(indptr) - 1
         assert c["rounds_fused"] + c["rounds_single"] + c["rounds_empty"] == num_rounds
-        if c["round_batch"] == 1:
-            assert c["rounds_fused"] == 0 and c["batches"] == 0
-        else:
-            assert c["rounds_single"] == 0
-            assert c["batches"] >= 1
-            assert c["join_entries"] > 0
+        # rounds_single counts non-empty rounds alone in their batch.
+        sizes = np.diff(indptr)
+        k = c["round_batch"]
+        per_batch = [np.count_nonzero(sizes[t:t + k]) for t in range(0, num_rounds, k)]
+        assert c["batches"] == sum(1 for m in per_batch if m)
+        assert c["rounds_single"] == sum(1 for m in per_batch if m == 1)
+        assert c["rounds_fused"] == sum(m for m in per_batch if m > 1)
+        if k == 1:
+            assert c["rounds_fused"] == 0
+            assert c["rounds_single"] == np.count_nonzero(sizes)
+        assert c["join_entries"] > 0
 
     def test_counters_reset_per_run(self):
         n = 18
@@ -475,7 +509,6 @@ class TestBatchCounters:
         info = backend.grid_info()
         assert isinstance(info["round_batch"], int)
         assert info["round_batch"] >= 1
-        assert info["kernel_backend"] in ("numpy", "numba")
 
 
 class TestListenerBucketCache:
@@ -622,42 +655,11 @@ class TestGoldenDigests:
 
 
 # --------------------------------------------------------------------- #
-# Kernel-backend leg: NumPy fallback reproduces the same digests.
+# NumPy kernels against trivial loops.
 # --------------------------------------------------------------------- #
 
 
 class TestKernelBackendLeg:
-    def test_numpy_fallback_digests_match(self):
-        """REPRO_NO_NUMBA=1 subprocess reproduces every golden digest.
-
-        When numba is installed this differentially tests the jitted
-        kernels against the NumPy fallback; without numba it still pins
-        that kernel dispatch is environment-independent.
-        """
-        code = (
-            "import json\n"
-            "from tests.test_backend_differential import (GOLDEN_SPECS,\n"
-            "    _golden_table, _event_digests)\n"
-            "out = {s['name']: _event_digests(_golden_table(s, 'auto'))[0]\n"
-            "       for s in GOLDEN_SPECS}\n"
-            "print(json.dumps(out))\n"
-        )
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, REPRO_NO_NUMBA="1",
-                   PYTHONPATH=os.pathsep.join(
-                       [os.path.join(root, "src"), root]))
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True, env=env, cwd=root,
-        )
-        sub = json.loads(out.stdout.strip().splitlines()[-1])
-        with open(GOLDEN_PATH) as fh:
-            corpus = json.load(fh)
-        for spec in GOLDEN_SPECS:
-            assert sub[spec["name"]] == corpus[spec["name"]]["table"], (
-                f"NumPy-kernel leg diverges on {spec['name']!r}"
-            )
-
     def test_segment_strongest_numpy_reference(self):
         """The NumPy segment kernel against a trivial per-segment loop."""
         rng = np.random.default_rng(41)
@@ -674,7 +676,7 @@ class TestKernelBackendLeg:
                 continue
             flat = np.flatnonzero(mask)
             expected_total = 0.0
-            for i in flat:  # sequential order, matching both kernel variants
+            for i in flat:  # sequential order, as np.bincount accumulates
                 expected_total += gains[i]
             assert totals[s] == expected_total
             assert best_gain[s] == gains[flat].max()
@@ -682,20 +684,20 @@ class TestKernelBackendLeg:
 
 
 # --------------------------------------------------------------------- #
-# Runner-level threading: the knob reaches the backend through the stack.
+# Runner-level threading: the constructor knob holds through the stack.
 # --------------------------------------------------------------------- #
 
 
 class TestRunnerThreading:
     def test_run_schedule_round_batch_equivalent(self):
         net_a = deployment.uniform_random(40, area_side=4.0, seed=43,
-                                          backend="spatial")
+                                          backend=("spatial", {"round_batch": 1}))
         net_b = deployment.uniform_random(40, area_side=4.0, seed=43,
-                                          backend="spatial")
+                                          backend=("spatial", {"round_batch": 16}))
         sched = ssf.prime_residue_ssf(64, 4)
         ids = list(net_a.uids)
-        res_a = run_schedule(SINRSimulator(net_a), sched, ids, round_batch=1)
-        res_b = run_schedule(SINRSimulator(net_b), sched, ids, round_batch=16)
+        res_a = run_schedule(SINRSimulator(net_a), sched, ids)
+        res_b = run_schedule(SINRSimulator(net_b), sched, ids)
         ra, sa, va = res_a.event_table()
         rb, sb, vb = res_b.event_table()
         assert np.array_equal(ra, rb)

@@ -11,10 +11,6 @@ tolerance, still exact event sets on non-marginal deployments).
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -361,21 +357,6 @@ class TestFloat32DenseOptIn:
 
 
 class TestKernels:
-    def test_backend_selection_reports(self):
-        assert _kernels.KERNEL_BACKEND in ("numpy", "numba")
-
-    def test_no_numba_env_forces_numpy_fallback(self):
-        code = (
-            "import repro.sinr.backends._kernels as k; print(k.KERNEL_BACKEND)"
-        )
-        env = dict(os.environ, REPRO_NO_NUMBA="1", PYTHONPATH="src")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert out.stdout.strip() == "numpy"
-
     @given(
         alpha=st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 2.5, 3.7]),
         seed=st.integers(0, 100),
@@ -390,18 +371,12 @@ class TestKernels:
             rtol=1e-12,
         )
 
-    def test_near_reduce_and_resolve_strongest(self):
+    def test_near_reduce(self):
         idx = np.array([0, 2, 0, 1, 2, 2], dtype=np.int64)
         gains = np.array([1.0, 5.0, 3.0, 2.0, 0.5, 4.0])
         sums, maxs = _kernels.near_reduce(idx, gains, 4)
         np.testing.assert_allclose(sums, [4.0, 2.0, 9.5, 0.0])
         np.testing.assert_allclose(maxs, [3.0, 2.0, 5.0, 0.0])
-        block = np.array([[1.0, 9.0], [4.0, 2.0], [4.0, 3.0]])
-        totals, best_gain, best_idx = _kernels.resolve_strongest(block)
-        np.testing.assert_allclose(totals, [9.0, 14.0])
-        np.testing.assert_allclose(best_gain, [4.0, 9.0])
-        # Ties resolve to the first (lowest) row index, like np.argmax.
-        assert list(best_idx) == [1, 0]
 
 
 class TestSpatialRegistration:
