@@ -2,9 +2,9 @@
 
 Claims measured here (and recorded in ``BENCH_backend_scaling.json``):
 
-1. **Batch throughput** -- on a fixed schedule, evaluating through
-   ``receptions_batch`` is at least ~1.5x faster than the equivalent
-   round-by-round ``receptions`` loop for the lazy backend (gated; the
+1. **Batch throughput** -- on a fixed schedule, evaluating its CSR form
+   through one ``receptions_table`` call is at least ~1.5x faster than the
+   equivalent round-by-round ``receptions`` loop for the lazy backend (gated; the
    other backends are recorded: dense runs the same shared gather-based
    routine as lazy over its precomputed matrix, and spatial's loop and
    batch both go through its batch core, so their ratios say little --
@@ -60,6 +60,14 @@ def make_schedule(n: int, rounds: int, per_round: int, seed: int) -> List[List[i
     return [list(rng.choice(n, size=per_round, replace=False)) for _ in range(rounds)]
 
 
+def csr_schedule(n: int, rounds: int, per_round: int, seed: int):
+    """The CSR ``(indptr, members)`` form of :func:`make_schedule`."""
+    rng = np.random.default_rng(seed)
+    members = [rng.choice(n, size=per_round, replace=False) for _ in range(rounds)]
+    indptr = np.arange(rounds + 1, dtype=np.int64) * per_round
+    return indptr, np.concatenate(members).astype(np.int64)
+
+
 def positions_for(n: int, seed: int = 0) -> np.ndarray:
     # Constant-density area: side grows with sqrt(n) so the physics stays in
     # the multi-hop regime the paper's schedules target.
@@ -74,9 +82,10 @@ def dense_matrix_bytes(n: int) -> int:
 
 
 def bench_batch_vs_rounds(n: int, rounds: int, per_round: int) -> Dict[str, float]:
-    """Time receptions_batch against the round-by-round loop, per backend."""
+    """Time one receptions_table call against the round-by-round loop, per backend."""
     positions = positions_for(n)
     schedule = make_schedule(n, rounds, per_round, seed=1)
+    indptr, members = csr_schedule(n, rounds, per_round, seed=1)
     params = SINRParameters.default()
     report: Dict[str, float] = {}
     for name in sorted(BACKENDS):
@@ -89,12 +98,13 @@ def bench_batch_vs_rounds(n: int, rounds: int, per_round: int) -> Dict[str, floa
         loop_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        batch_result = backend.receptions_batch(schedule)
+        batch_result = backend.receptions_table(indptr, members)
         batch_seconds = time.perf_counter() - start
 
         # Sanity: both paths must deliver to the same receivers.
-        for per_round_map, outcome in zip(loop_result, batch_result):
-            assert set(per_round_map) == set(int(r) for r in outcome.receivers)
+        for t, per_round_map in enumerate(loop_result):
+            in_round = batch_result.round_ids == t
+            assert set(per_round_map) == set(batch_result.receivers[in_round].tolist())
 
         report[f"{name}_loop_s"] = loop_seconds
         report[f"{name}_batch_s"] = batch_seconds
@@ -110,17 +120,17 @@ def bench_memory_scaling(n: int, rounds: int, per_round: int, budget_gb: float) 
     report["dense_fits_budget"] = float(dense_gb <= budget_gb)
 
     positions = positions_for(n)
-    schedule = make_schedule(n, rounds, per_round, seed=2)
+    indptr, members = csr_schedule(n, rounds, per_round, seed=2)
     params = SINRParameters.default()
 
     tracemalloc.start()
     backend = LazyBlockBackend(positions, params)
-    deliveries = backend.receptions_batch(schedule)
+    deliveries = backend.receptions_table(indptr, members)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
     report["lazy_peak_gb"] = peak / 1e9
-    report["lazy_deliveries"] = float(sum(len(outcome) for outcome in deliveries))
+    report["lazy_deliveries"] = float(len(deliveries))
     info = backend.cache_info()
     report["lazy_cached_rows"] = float(info["resident_rows"])
     report["lazy_cache_hits"] = float(info["hits"])
@@ -144,39 +154,41 @@ def bench_spatial_speedup(n: int, rounds: int) -> Dict[str, float]:
     """
     per_round = max(32, n // 20)
     positions = positions_for(n)
-    schedule = make_schedule(n, rounds, per_round, seed=3)
+    indptr, members = csr_schedule(n, rounds, per_round, seed=3)
     params = SINRParameters.default()
 
     # Equivalence pass (untimed; also serves as a warm-up of both paths).
     dense = make_backend("dense", positions, params)
     spatial = make_backend("spatial", positions, params)
-    for d_out, s_out in zip(dense.receptions_batch(schedule), spatial.receptions_batch(schedule)):
-        assert np.array_equal(d_out.receivers, s_out.receivers), "receivers diverged"
-        assert np.array_equal(d_out.senders, s_out.senders), "senders diverged"
+    d_out = dense.receptions_table(indptr, members)
+    s_out = spatial.receptions_table(indptr, members)
+    assert np.array_equal(d_out.round_ids, s_out.round_ids), "rounds diverged"
+    assert np.array_equal(d_out.receivers, s_out.receivers), "receivers diverged"
+    assert np.array_equal(d_out.senders, s_out.senders), "senders diverged"
 
     start = time.perf_counter()
-    dense_warm = dense.receptions_batch(schedule)
+    dense_warm = dense.receptions_table(indptr, members)
     dense_warm_s = time.perf_counter() - start
-    assert len(dense_warm) == rounds
+    assert dense_warm.num_rounds == rounds
     del dense
 
     start = time.perf_counter()
-    spatial_warm = spatial.receptions_batch(schedule)
+    spatial_warm = spatial.receptions_table(indptr, members)
     spatial_warm_s = time.perf_counter() - start
-    assert len(spatial_warm) == rounds
+    assert spatial_warm.num_rounds == rounds
     del spatial
 
     start = time.perf_counter()
     dense = make_backend("dense", positions, params)
     dense_build_s = time.perf_counter() - start
-    dense.receptions_batch(schedule)
+    dense.receptions_table(indptr, members)
     dense_total_s = time.perf_counter() - start
     del dense
 
     start = time.perf_counter()
     spatial = make_backend("spatial", positions, params)
     spatial_build_s = time.perf_counter() - start
-    spatial.receptions_batch(schedule)
+    spatial.receptions_table(indptr, members)
     spatial_total_s = time.perf_counter() - start
 
     return {
@@ -190,14 +202,6 @@ def bench_spatial_speedup(n: int, rounds: int) -> Dict[str, float]:
         "per_round": float(per_round),
         "speedup": dense_total_s / spatial_total_s if spatial_total_s else float("inf"),
     }
-
-
-def csr_schedule(n: int, rounds: int, per_round: int, seed: int):
-    """The CSR ``(indptr, members)`` form of :func:`make_schedule`."""
-    rng = np.random.default_rng(seed)
-    members = [rng.choice(n, size=per_round, replace=False) for _ in range(rounds)]
-    indptr = np.arange(rounds + 1, dtype=np.int64) * per_round
-    return indptr, np.concatenate(members).astype(np.int64)
 
 
 def bench_batched_driver(n: int, rounds: int, per_round: int) -> Dict[str, float]:

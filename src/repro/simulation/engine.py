@@ -11,13 +11,14 @@ The simulator is *index-native*: wakefulness is a NumPy boolean mask over
 dense node indices, transmitter/listener sets are converted to index arrays
 once per round, and uid translation of the results is a single fancy-indexing
 pass over the network's uid array -- there is no per-``Node`` attribute churn
-on the hot path.  On top of the per-round :meth:`SINRSimulator.run_round` it
-offers the batched :meth:`SINRSimulator.run_schedule_table` (and its
-list-of-sets wrapper :meth:`SINRSimulator.run_schedule`), which evaluates a
-whole precomputed sequence of transmitter sets through the physics backend's
-``receptions_table`` in vectorized NumPy calls; all schedule-driven
-executions (:mod:`repro.simulation.schedule`, and through it every
-deterministic algorithm in :mod:`repro.core`) go through that path.
+on the hot path.  Every round runs through one method,
+:meth:`SINRSimulator.run_schedule_table`, which evaluates a whole
+precomputed sequence of transmitter sets through the physics backend's
+``receptions_table`` in vectorized NumPy calls.  The schedule runners
+(:mod:`repro.simulation.schedule`, and through them every deterministic
+algorithm in :mod:`repro.core`) call it directly; the per-round
+:meth:`SINRSimulator.run_round` and the list-of-sets
+:meth:`SINRSimulator.run_schedule` are thin wrappers over it.
 
 Wake-up semantics (non-spontaneous wake-up model): sleeping nodes never
 listen -- they are dropped even from an explicitly passed ``listeners``
@@ -135,28 +136,6 @@ class SINRSimulator:
     # Round execution.
     # ------------------------------------------------------------------ #
 
-    def _listener_indices(
-        self,
-        listeners: Optional[Iterable[int]],
-        transmissions: Mapping[int, Message],
-        tx_indices: np.ndarray,
-        wake_on_reception: bool,
-    ) -> np.ndarray:
-        """Eligible listener indices for one round (half-duplex, wake model)."""
-        if listeners is None:
-            mask = self._awake.copy()
-            mask[tx_indices] = False
-            return np.flatnonzero(mask)
-        indices = self._network.indices_of(
-            uid for uid in listeners if uid not in transmissions
-        )
-        if not wake_on_reception:
-            # Sleeping nodes never listen (non-spontaneous wake-up model):
-            # without wake_on_reception they are dropped even when named
-            # explicitly, so a message can never be decoded in secret.
-            indices = indices[self._awake[indices]]
-        return indices
-
     def run_round(
         self,
         transmissions: Mapping[int, Message],
@@ -165,6 +144,10 @@ class SINRSimulator:
         wake_on_reception: bool = False,
     ) -> Dict[int, Message]:
         """Execute one synchronous round.
+
+        A one-round :meth:`run_schedule_table` call: listener selection,
+        physics, wake-up, counters and the trace record are all that
+        path's; this method only attaches each sender's message.
 
         Parameters
         ----------
@@ -189,42 +172,27 @@ class SINRSimulator:
             ``listener ID -> decoded message`` for every listener whose SINR
             constraint was met by some transmitter.
         """
-        self._round += 1
-        self._messages_sent += len(transmissions)
-
         if not transmissions:
+            self._round += 1
             if self._trace is not None:
                 self._trace.append(RoundRecord(index=self._round, phase=phase, transmitters=(), deliveries={}))
             return {}
 
-        tx_indices = self._network.indices_of(transmissions)
-        rx_indices = self._listener_indices(listeners, transmissions, tx_indices, wake_on_reception)
-
-        delivered: Dict[int, Message] = {}
-        if rx_indices.size:
-            receptions = self._network.physics.receptions(tx_indices, rx_indices)
-            uids = self._uids
-            woken: List[int] = []
-            for listener_index, reception in receptions.items():
-                listener_uid = int(uids[listener_index])
-                sender_uid = int(uids[reception.sender])
-                delivered[listener_uid] = transmissions[sender_uid]
-                if wake_on_reception and not self._awake[listener_index]:
-                    woken.append(listener_index)
-            if woken:
-                self._set_awake(woken, True)
-        self._messages_delivered += len(delivered)
-
-        if self._trace is not None:
-            self._trace.append(
-                RoundRecord(
-                    index=self._round,
-                    phase=phase,
-                    transmitters=tuple(sorted(transmissions)),
-                    deliveries={uid: msg.sender for uid, msg in delivered.items()},
-                )
+        tx_uids = np.fromiter(transmissions, dtype=np.int64, count=len(transmissions))
+        deliveries = self.run_schedule_table(
+            1,
+            np.zeros(len(tx_uids), dtype=np.int64),
+            tx_uids,
+            listeners=listeners,
+            phase=phase,
+            wake_on_reception=wake_on_reception,
+        )
+        return {
+            receiver: transmissions[sender]
+            for receiver, sender in zip(
+                deliveries.receiver_uids.tolist(), deliveries.sender_uids.tolist()
             )
-        return delivered
+        }
 
     def run_schedule(
         self,

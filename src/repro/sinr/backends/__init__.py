@@ -2,9 +2,8 @@
 
 Every backend implements the :class:`~repro.sinr.backends.base.PhysicsBackend`
 protocol -- a whole CSR schedule via ``receptions_table()``, which the
-base-class ``receptions()`` (one round) and ``receptions_batch()`` (a list of
-transmitter sets) wrap -- and they are interchangeable everywhere a network or
-simulator needs physics.  Selection is by name (``"dense"``, ``"lazy"`` or
+base-class ``receptions()`` wraps for one round -- and they are
+interchangeable everywhere a network or simulator needs physics.  Selection is by name (``"dense"``, ``"lazy"`` or
 ``"spatial"``) through :func:`make_backend`, threaded from
 ``WirelessNetwork(backend=...)``, the deployment generators, and the CLI's
 ``--backend`` option.
@@ -17,7 +16,7 @@ from typing import Mapping, Tuple, Union
 import numpy as np
 
 from ..model import SINRParameters
-from .base import PhysicsBackend, Reception, RoundReceptions
+from .base import PhysicsBackend, Reception
 from .dense import DenseMatrixBackend
 from .lazy import LazyBlockBackend
 from .spatial import SpatialGridBackend
@@ -80,7 +79,6 @@ __all__ = [
     "LazyBlockBackend",
     "PhysicsBackend",
     "Reception",
-    "RoundReceptions",
     "SpatialGridBackend",
     "make_backend",
 ]

@@ -20,9 +20,8 @@ returns a columnar :class:`DeliveryTable`.  The generic implementation here
 is built on the single primitive :meth:`PhysicsBackend.gain_block` (the
 received-power sub-matrix for arbitrary sender/receiver index arrays) and
 serves dense and lazy; spatial overrides it.  :meth:`~PhysicsBackend.receptions`
-(one round, a ``{listener: Reception}`` dict) and
-:meth:`~PhysicsBackend.receptions_batch` (a list of transmitter sets) are
-base-class wrappers over it, so every entry point realizes the same physics;
+(one round, a ``{listener: Reception}`` dict) is a base-class wrapper over
+it, so every entry point realizes the same physics;
 ``tests/test_backend_differential.py`` checks all three backends against a
 brute-force Equation 1 oracle.
 
@@ -60,38 +59,6 @@ class Reception:
 
 
 @dataclass(frozen=True)
-class RoundReceptions:
-    """Vector-form outcome of one round inside a batched evaluation.
-
-    ``receivers[k]`` decoded ``senders[k]`` with SINR ``sinr[k]``; the arrays
-    are index-aligned and sorted by receiver index.  :meth:`as_dict` converts
-    to the per-listener :class:`Reception` mapping of the round-by-round API.
-    """
-
-    receivers: np.ndarray
-    senders: np.ndarray
-    sinr: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.receivers)
-
-    def as_dict(self) -> Dict[int, Reception]:
-        """The round-by-round ``receptions()`` representation of this round."""
-        return {
-            int(r): Reception(receiver=int(r), sender=int(s), sinr=float(q))
-            for r, s, q in zip(self.receivers, self.senders, self.sinr)
-        }
-
-
-def _empty_round() -> RoundReceptions:
-    return RoundReceptions(
-        receivers=np.empty(0, dtype=int),
-        senders=np.empty(0, dtype=int),
-        sinr=np.empty(0, dtype=float),
-    )
-
-
-@dataclass(frozen=True)
 class DeliveryTable:
     """Columnar outcome of a whole schedule: one row per successful reception.
 
@@ -110,24 +77,6 @@ class DeliveryTable:
 
     def __len__(self) -> int:
         return len(self.round_ids)
-
-    def split_rounds(self) -> List[RoundReceptions]:
-        """Per-round :class:`RoundReceptions` views (legacy batch shape)."""
-        bounds = np.searchsorted(self.round_ids, np.arange(self.num_rounds + 1))
-        out: List[RoundReceptions] = []
-        for t in range(self.num_rounds):
-            lo, hi = bounds[t], bounds[t + 1]
-            if lo == hi:
-                out.append(_empty_round())
-            else:
-                out.append(
-                    RoundReceptions(
-                        receivers=self.receivers[lo:hi],
-                        senders=self.senders[lo:hi],
-                        sinr=self.sinr[lo:hi],
-                    )
-                )
-        return out
 
 
 def _empty_table(num_rounds: int) -> DeliveryTable:
@@ -281,7 +230,12 @@ class PhysicsBackend(ABC):
         """
         tx = np.fromiter(dict.fromkeys(int(t) for t in transmitters), dtype=np.int64)
         table = self.receptions_table(np.array([0, tx.size]), tx, listeners)
-        return RoundReceptions(table.receivers, table.senders, table.sinr).as_dict()
+        return {
+            r: Reception(receiver=r, sender=s, sinr=q)
+            for r, s, q in zip(
+                table.receivers.tolist(), table.senders.tolist(), table.sinr.tolist()
+            )
+        }
 
     def _normalize_listeners(self, listeners: Optional[Sequence[int]]) -> np.ndarray:
         """Listener index array: defaults to all nodes, dedups preserving order."""
@@ -315,7 +269,7 @@ class PhysicsBackend(ABC):
         :class:`DeliveryTable`.
 
         This is the one reception routine a backend owns: :meth:`receptions`
-        and :meth:`receptions_batch` wrap it.  The generic implementation
+        wraps it for one round.  The generic implementation
         only relies on :meth:`gain_block` (dense and lazy use it); the
         spatial backend overrides it with its certified batched driver.
         """
@@ -386,45 +340,3 @@ class PhysicsBackend(ABC):
             senders=np.concatenate(out_senders),
             sinr=np.concatenate(out_sinr),
         )
-
-    def receptions_batch(
-        self,
-        schedule: Sequence[Sequence[int]],
-        listeners: Optional[Sequence[int]] = None,
-    ) -> List[RoundReceptions]:
-        """Evaluate a whole sequence of transmitter sets in vectorized calls.
-
-        ``schedule[t]`` is the transmitter index set of round ``t``; the same
-        ``listeners`` apply to every round (default: all nodes), except that a
-        round's own transmitters never receive (half-duplex).  Equivalent to
-        calling :meth:`receptions` once per round -- the property tests assert
-        exactly that.  This is a thin compatibility wrapper over the columnar
-        :meth:`receptions_table`; new code should prefer the table API.
-
-        Returns one :class:`RoundReceptions` per round, in order.
-        """
-        norm_rounds = [
-            np.fromiter(dict.fromkeys(int(t) for t in r), dtype=np.int64)
-            for r in schedule
-        ]
-        indptr = np.zeros(len(norm_rounds) + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in norm_rounds], out=indptr[1:])
-        members = (
-            np.concatenate(norm_rounds) if norm_rounds else np.empty(0, dtype=np.int64)
-        )
-        rx = self._normalize_listeners(listeners)
-        table = self.receptions_table(indptr, members, listeners=rx)
-        return table.split_rounds()
-
-    def reception_matrix(self, transmitters: Sequence[int]) -> np.ndarray:
-        """Boolean matrix ``M[i, j]``: listener ``j`` decodes ``transmitters[i]``.
-
-        Mostly useful for analysis and tests; built on :meth:`receptions`.
-        """
-        transmitters = list(dict.fromkeys(int(t) for t in transmitters))
-        matrix = np.zeros((len(transmitters), self.size), dtype=bool)
-        outcome = self.receptions(transmitters)
-        index_of = {t: i for i, t in enumerate(transmitters)}
-        for receiver, reception in outcome.items():
-            matrix[index_of[reception.sender], receiver] = True
-        return matrix

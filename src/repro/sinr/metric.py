@@ -1,251 +1,23 @@
-"""Abstract-metric networks: the paper's footnote-1 generalization.
+"""Bounded-growth metrics: the paper's footnote-1 generalization.
 
 Footnote 1 of the paper notes that all results carry over from the Euclidean
 plane to *bounded-growth metric spaces* with the same asymptotic bounds.  The
 algorithms in :mod:`repro.core` never read coordinates -- they only consume a
 network's shared knowledge (``id_space``, ``delta_bound``, SINR parameters)
-and its physics engine -- so supporting arbitrary metrics only needs a
-network object built from a pairwise-distance matrix.
-
-:class:`MetricNetwork` provides exactly the protocol-facing surface of
-:class:`~repro.sinr.network.WirelessNetwork` (nodes, ID lookups, physics,
-communication graph, density) without positions; geometry-based validation
-(cluster radii and the like) does not apply to it, but the growth-bound check
-:func:`doubling_dimension_estimate` lets tests confirm a metric qualifies as
-bounded-growth before the theorems are expected to hold.
+and its physics backend -- so a network over an arbitrary metric is just
+:meth:`~repro.sinr.network.WirelessNetwork.from_distances` over its
+pairwise-distance matrix.  The growth-bound check :func:`doubling_dimension_estimate` lets
+tests confirm a metric qualifies as bounded-growth before the theorems are
+expected to hold.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
-from .backends.dense import DenseMatrixBackend
-from .identifiers import build_uid_lookup, translate_uids
-from .model import NUMERIC_TOLERANCE, SINRParameters
-from .node import Node
-
-
-class MetricNetwork:
-    """An ad hoc network over an abstract (bounded-growth) metric.
-
-    Parameters
-    ----------
-    distances:
-        Symmetric ``(n, n)`` matrix of pairwise distances, zero diagonal.
-    params:
-        SINR parameters.
-    uids, id_space, delta_bound:
-        As for :class:`~repro.sinr.network.WirelessNetwork`.
-    """
-
-    def __init__(
-        self,
-        distances: Sequence[Sequence[float]],
-        params: Optional[SINRParameters] = None,
-        uids: Optional[Sequence[int]] = None,
-        id_space: Optional[int] = None,
-        delta_bound: Optional[int] = None,
-    ) -> None:
-        self._params = params or SINRParameters.default()
-        matrix = np.asarray(distances, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("distances must be a square matrix")
-        n = len(matrix)
-        if n == 0:
-            raise ValueError("a network needs at least one node")
-        if not np.allclose(np.diag(matrix), 0.0, atol=1e-9):
-            raise ValueError("the distance of a node to itself must be zero")
-
-        if uids is None:
-            uids = list(range(1, n + 1))
-        uids = [int(u) for u in uids]
-        if len(uids) != n or len(set(uids)) != n or min(uids) <= 0:
-            raise ValueError("uids must be distinct positive integers, one per node")
-        if id_space is None:
-            id_space = max(8, 4 * n, max(uids))
-        if id_space < max(uids):
-            raise ValueError("id_space must be at least the largest node ID")
-
-        self._physics = DenseMatrixBackend.from_distance_matrix(matrix, self._params)
-        self._distances = matrix
-        self._nodes: List[Node] = [
-            Node(uid=uid, index=i, position=(float("nan"), float("nan"))) for i, uid in enumerate(uids)
-        ]
-        self._uid_to_index: Dict[int, int] = {node.uid: node.index for node in self._nodes}
-        self._uid_array = np.array(uids, dtype=int)
-        self._uid_lookup: Optional[np.ndarray] = None
-        self._id_space = int(id_space)
-        self._graph = self._build_communication_graph()
-        if delta_bound is None:
-            delta_bound = self.density()
-        self._delta_bound = max(1, int(delta_bound))
-
-    # ------------------------------------------------------------------ #
-    # Shared knowledge / simulator-facing surface (same as WirelessNetwork).
-    # ------------------------------------------------------------------ #
-
-    @property
-    def params(self) -> SINRParameters:
-        """The SINR parameters, known to every node."""
-        return self._params
-
-    @property
-    def id_space(self) -> int:
-        """The bound ``N`` on node identifiers."""
-        return self._id_space
-
-    @property
-    def delta_bound(self) -> int:
-        """The density/degree bound ``Delta`` known to every node."""
-        return self._delta_bound
-
-    @property
-    def size(self) -> int:
-        """Number of nodes."""
-        return len(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def uids(self) -> List[int]:
-        """All node IDs, in index order."""
-        return [node.uid for node in self._nodes]
-
-    @property
-    def physics(self) -> DenseMatrixBackend:
-        """The SINR physics backend over the abstract metric (dense only:
-        a metric-only placement has no positions to recompute blocks from)."""
-        return self._physics
-
-    @property
-    def nodes(self) -> List[Node]:
-        """The node objects, in index order."""
-        return self._nodes
-
-    def node(self, uid: int) -> Node:
-        """The node with identifier ``uid``."""
-        return self._nodes[self._uid_to_index[uid]]
-
-    def index_of(self, uid: int) -> int:
-        """Dense index of the node with identifier ``uid``."""
-        return self._uid_to_index[uid]
-
-    def uid_of(self, index: int) -> int:
-        """Identifier of the node at dense index ``index``."""
-        return self._nodes[index].uid
-
-    @property
-    def uid_array(self) -> np.ndarray:
-        """Node identifiers as an index-aligned array (read-only view)."""
-        view = self._uid_array.view()
-        view.flags.writeable = False
-        return view
-
-    def indices_of(self, uids) -> np.ndarray:
-        """Dense indices of the given identifiers, as an index array."""
-        table = self._uid_to_index
-        return np.fromiter((table[uid] for uid in uids), dtype=int)
-
-    @property
-    def uid_index_lookup(self) -> np.ndarray:
-        """``(id_space + 1,)`` array mapping uid -> dense index (-1 if absent)."""
-        if self._uid_lookup is None:
-            self._uid_lookup = build_uid_lookup(self._uid_array, self._id_space)
-        return self._uid_lookup
-
-    def indices_of_array(self, uids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`indices_of` for an integer uid array."""
-        return translate_uids(uids, self.uid_index_lookup, self._id_space)
-
-    # ------------------------------------------------------------------ #
-    # Metric / graph accessors.
-    # ------------------------------------------------------------------ #
-
-    def distance(self, uid_a: int, uid_b: int) -> float:
-        """Metric distance between two nodes (by ID)."""
-        return float(self._distances[self._uid_to_index[uid_a], self._uid_to_index[uid_b]])
-
-    @property
-    def communication_graph(self) -> nx.Graph:
-        """The communication graph (edges at distance at most ``1 - eps``)."""
-        return self._graph
-
-    def neighbors(self, uid: int) -> List[int]:
-        """Communication-graph neighbours of ``uid``."""
-        return sorted(self._graph.neighbors(uid))
-
-    def degree(self, uid: int) -> int:
-        """Communication-graph degree of ``uid``."""
-        return int(self._graph.degree[uid])
-
-    def max_degree(self) -> int:
-        """Largest communication-graph degree."""
-        return max((d for _, d in self._graph.degree()), default=0)
-
-    def density(self) -> int:
-        """Largest number of nodes within transmission range of any node."""
-        radius = self._params.transmission_range
-        counts = (self._distances <= radius + NUMERIC_TOLERANCE).sum(axis=1)
-        return int(counts.max())
-
-    def is_connected(self) -> bool:
-        """Whether the communication graph is connected."""
-        return nx.is_connected(self._graph) if self.size > 1 else True
-
-    def diameter_hops(self, source_uid: Optional[int] = None) -> int:
-        """Hop diameter (or the eccentricity of ``source_uid``)."""
-        if self.size == 1:
-            return 0
-        if source_uid is not None:
-            lengths = nx.single_source_shortest_path_length(self._graph, source_uid)
-            return max(lengths.values())
-        if not nx.is_connected(self._graph):
-            raise ValueError("diameter of a disconnected communication graph is undefined")
-        return nx.diameter(self._graph)
-
-    def bfs_layers(self, source_uid: int) -> Dict[int, int]:
-        """Hop distances from ``source_uid``."""
-        return dict(nx.single_source_shortest_path_length(self._graph, source_uid))
-
-    # ------------------------------------------------------------------ #
-    # Cluster bookkeeping (same surface as WirelessNetwork).
-    # ------------------------------------------------------------------ #
-
-    def cluster_assignment(self) -> Dict[int, Optional[int]]:
-        """Mapping ``uid -> cluster`` for all nodes."""
-        return {node.uid: node.cluster for node in self._nodes}
-
-    def set_cluster_assignment(self, assignment: Dict[int, int]) -> None:
-        """Install a cluster assignment (``uid -> cluster``)."""
-        for uid, cluster in assignment.items():
-            self.node(uid).cluster = int(cluster)
-
-    def reset_protocol_state(self) -> None:
-        """Clear per-execution node state."""
-        for node in self._nodes:
-            node.reset_protocol_state()
-
-    def _build_communication_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(node.uid for node in self._nodes)
-        radius = self._params.communication_radius
-        n = self.size
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self._distances[i, j] <= radius + NUMERIC_TOLERANCE:
-                    graph.add_edge(self._nodes[i].uid, self._nodes[j].uid)
-        return graph
-
-    def describe(self) -> str:
-        """One-line summary."""
-        return (
-            f"MetricNetwork(n={self.size}, N={self.id_space}, Delta={self.delta_bound}, "
-            f"max_degree={self.max_degree()}, connected={self.is_connected()})"
-        )
+from .model import NUMERIC_TOLERANCE
 
 
 def doubling_dimension_estimate(distances: np.ndarray, radii: Optional[Sequence[float]] = None) -> float:

@@ -16,6 +16,12 @@ but only ever use the public, knowledge-respecting API (IDs, ``id_space``,
 ``delta_bound``, ``params``) plus the simulator built on top of it; geometry
 accessors are reserved for deployment code, tests and analysis.
 
+:meth:`WirelessNetwork.from_distances` builds the same network over an
+abstract metric given by a pairwise-distance matrix (the paper's footnote-1
+generalization to bounded-growth metric spaces).  Such a network keeps no
+coordinates: density and the communication graph are read off the matrix,
+and the coordinate accessors and the mutation API raise ``ValueError``.
+
 Networks are no longer frozen at construction: :meth:`WirelessNetwork.move_nodes`,
 :meth:`~WirelessNetwork.add_nodes` and :meth:`~WirelessNetwork.remove_nodes`
 are the *single* mutation API for time-varying scenarios
@@ -29,16 +35,14 @@ mutating (the epoch runner does exactly that).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .backends import PhysicsBackend, make_backend
-from .geometry import graph_diameter_hops, unit_ball_density
-from .identifiers import build_uid_lookup, translate_uids
+from .backends import DenseMatrixBackend, PhysicsBackend, make_backend
+from .geometry import unit_ball_density
 from .model import NUMERIC_TOLERANCE, SINRParameters
 from .node import Node
 
@@ -77,11 +81,51 @@ class WirelessNetwork:
         delta_bound: Optional[int] = None,
         backend: Union[str, PhysicsBackend] = "dense",
     ) -> None:
-        self._params = params or SINRParameters.default()
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("positions must be an (n, 2) array")
-        n = len(positions)
+        self._init_nodes(len(positions), params, uids, id_space, delta_bound, positions)
+        self._physics = make_backend(backend, positions, self._params)
+
+    @classmethod
+    def from_distances(
+        cls,
+        distances: Sequence[Sequence[float]],
+        params: Optional[SINRParameters] = None,
+        uids: Optional[Sequence[int]] = None,
+        id_space: Optional[int] = None,
+        delta_bound: Optional[int] = None,
+    ) -> WirelessNetwork:
+        """A network over an abstract metric, given by pairwise distances.
+
+        ``distances`` is a symmetric ``(n, n)`` matrix with a zero diagonal;
+        the other parameters are those of the constructor.  Physics runs on
+        the dense backend's
+        :meth:`~repro.sinr.backends.dense.DenseMatrixBackend.from_distance_matrix`.
+        The network keeps no coordinates, so :attr:`positions`,
+        :meth:`position_of` and the mutation API raise ``ValueError``.
+        """
+        matrix = np.asarray(distances, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("distances must be a square matrix")
+        if not np.allclose(np.diag(matrix), 0.0, atol=1e-9):
+            raise ValueError("the distance of a node to itself must be zero")
+        network = cls.__new__(cls)
+        network._init_nodes(len(matrix), params, uids, id_space, delta_bound, None)
+        network._physics = DenseMatrixBackend.from_distance_matrix(matrix, network._params)
+        return network
+
+    def _init_nodes(
+        self,
+        n: int,
+        params: Optional[SINRParameters],
+        uids: Optional[Sequence[int]],
+        id_space: Optional[int],
+        delta_bound: Optional[int],
+        positions: Optional[np.ndarray],
+    ) -> None:
+        """Validate IDs and set up the node table and the knowledge bounds."""
+        self._params = params or SINRParameters.default()
         if n == 0:
             raise ValueError("a network needs at least one node")
 
@@ -100,16 +144,16 @@ class WirelessNetwork:
         if id_space < max(uids):
             raise ValueError("id_space must be at least the largest node ID")
 
-        self._positions = positions
+        self._positions: Optional[np.ndarray] = positions
+        xy = positions if positions is not None else np.full((n, 2), np.nan)
         self._nodes: List[Node] = [
-            Node(uid=uid, index=i, position=(float(positions[i, 0]), float(positions[i, 1])))
+            Node(uid=uid, index=i, position=(float(xy[i, 0]), float(xy[i, 1])))
             for i, uid in enumerate(uids)
         ]
         self._uid_to_index: Dict[int, int] = {node.uid: node.index for node in self._nodes}
         self._uid_array = np.array(uids, dtype=int)
         self._id_space = int(id_space)
         self._uid_lookup: Optional[np.ndarray] = None
-        self._physics = make_backend(backend, positions, self._params)
         # Geometry-derived state is cached lazily and invalidated by every
         # placement mutation (see _invalidate_geometry_caches).
         self._graph: Optional[nx.Graph] = None
@@ -137,9 +181,7 @@ class WirelessNetwork:
     def delta_bound(self) -> int:
         """The bound ``Delta`` on density/degree, known to every node."""
         if self._delta_bound is None:
-            self._delta_bound = max(
-                1, unit_ball_density(self._positions, radius=self._params.transmission_range)
-            )
+            self._delta_bound = max(1, self.density())
         return self._delta_bound
 
     @property
@@ -203,27 +245,50 @@ class WirelessNetwork:
         whole uid arrays in one vectorized gather.
         """
         if self._uid_lookup is None:
-            self._uid_lookup = build_uid_lookup(self._uid_array, self._id_space)
+            lookup = np.full(self._id_space + 1, -1, dtype=np.int64)
+            lookup[self._uid_array] = np.arange(len(self._uid_array), dtype=np.int64)
+            self._uid_lookup = lookup
         return self._uid_lookup
 
     def indices_of_array(self, uids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`indices_of` for an integer uid array."""
-        return translate_uids(uids, self.uid_index_lookup, self._id_space)
+        """Vectorized :meth:`indices_of` for an integer uid array.
+
+        Raises ``KeyError`` naming the first unknown uid.
+        """
+        uids = np.ascontiguousarray(uids, dtype=np.int64)
+        if uids.size and (uids.min() < 1 or uids.max() > self._id_space):
+            raise KeyError(int(uids[(uids < 1) | (uids > self._id_space)][0]))
+        indices = self.uid_index_lookup[uids]
+        if uids.size and indices.min() < 0:
+            raise KeyError(int(uids[indices < 0][0]))
+        return indices
 
     # ------------------------------------------------------------------ #
     # Geometry / analysis accessors (not available to protocols).
     # ------------------------------------------------------------------ #
 
+    def _require_positions(self, operation: str) -> np.ndarray:
+        if self._positions is None:
+            raise ValueError(
+                f"this network was built from a distance matrix; {operation} needs coordinates"
+            )
+        return self._positions
+
     @property
     def positions(self) -> np.ndarray:
         """Node coordinates (read-only)."""
-        view = self._positions.view()
+        view = self._require_positions("positions").view()
         view.flags.writeable = False
         return view
 
     def position_of(self, uid: int) -> Tuple[float, float]:
         """Coordinates of node ``uid`` (analysis only)."""
+        self._require_positions("position_of")
         return self._nodes[self._uid_to_index[uid]].position
+
+    def distance(self, uid_a: int, uid_b: int) -> float:
+        """Distance between two nodes (by ID), Euclidean or metric."""
+        return self._physics.distance(self._uid_to_index[uid_a], self._uid_to_index[uid_b])
 
     @property
     def communication_graph(self) -> nx.Graph:
@@ -250,8 +315,16 @@ class WirelessNetwork:
         return max((d for _, d in self.communication_graph.degree()), default=0)
 
     def density(self) -> int:
-        """Unit-ball density of the placement (the paper's Gamma)."""
-        return unit_ball_density(self._positions, radius=self._params.transmission_range)
+        """Unit-ball density of the placement (the paper's Gamma).
+
+        Over a metric, the largest number of nodes within transmission
+        range of any node.
+        """
+        radius = self._params.transmission_range
+        if self._positions is None:
+            within = self._physics.distances <= radius + NUMERIC_TOLERANCE
+            return int(within.sum(axis=1).max())
+        return unit_ball_density(self._positions, radius=radius)
 
     def is_connected(self) -> bool:
         """Whether the communication graph is connected."""
@@ -303,6 +376,7 @@ class WirelessNetwork:
         caches are invalidated.  Simulators built before the move keep
         executing on the old wake/uid snapshot -- build a new one per epoch.
         """
+        positions = self._require_positions("move_nodes")
         uid_list = [int(u) for u in uids]
         new_xy = np.asarray(new_positions, dtype=float).reshape(-1, 2)
         if len(uid_list) != len(new_xy):
@@ -311,7 +385,7 @@ class WirelessNetwork:
             return
         indices = self.indices_of(uid_list)
         self._physics.update_positions(indices, new_xy)
-        self._positions[indices] = new_xy
+        positions[indices] = new_xy
         for i, index in enumerate(indices):
             self._nodes[index].position = (float(new_xy[i, 0]), float(new_xy[i, 1]))
         self._invalidate_geometry_caches()
@@ -329,6 +403,7 @@ class WirelessNetwork:
         dynamic setting (every epoch re-runs the algorithm under the current
         ``N``).
         """
+        old_xy = self._require_positions("add_nodes")
         new_xy = np.asarray(positions, dtype=float).reshape(-1, 2)
         m = len(new_xy)
         if m == 0:
@@ -346,7 +421,7 @@ class WirelessNetwork:
                 raise ValueError("node IDs must be positive")
         old_n = self.size
         self._physics.add_nodes(new_xy)
-        self._positions = np.vstack([self._positions, new_xy])
+        self._positions = np.vstack([old_xy, new_xy])
         for i, uid in enumerate(uid_list):
             node = Node(
                 uid=uid,
@@ -367,6 +442,7 @@ class WirelessNetwork:
         index previously handed out (schedules, simulators) is stale after
         this call -- which is why the epoch runner rebuilds per epoch.
         """
+        positions = self._require_positions("remove_nodes")
         uid_list = [int(u) for u in uids]
         if not uid_list:
             return
@@ -377,7 +453,7 @@ class WirelessNetwork:
             raise ValueError("cannot remove every node from a network")
         keep = np.setdiff1d(np.arange(self.size), indices)
         self._physics.remove_nodes(indices)
-        self._positions = self._positions[keep]
+        self._positions = positions[keep]
         self._nodes = [self._nodes[int(i)] for i in keep]
         for new_index, node in enumerate(self._nodes):
             node.index = new_index
@@ -411,11 +487,15 @@ class WirelessNetwork:
     def _build_communication_graph(self) -> nx.Graph:
         graph = nx.Graph()
         graph.add_nodes_from(node.uid for node in self._nodes)
-        radius = self._params.communication_radius
-        tree = cKDTree(self._positions)
-        pairs = tree.query_pairs(r=radius + NUMERIC_TOLERANCE, output_type="ndarray")
-        for i, j in pairs:
-            graph.add_edge(self._nodes[int(i)].uid, self._nodes[int(j)].uid)
+        reach = self._params.communication_radius + NUMERIC_TOLERANCE
+        if self._positions is None:
+            pairs = np.argwhere(np.triu(self._physics.distances <= reach, k=1))
+        else:
+            pairs = cKDTree(self._positions).query_pairs(r=reach, output_type="ndarray")
+        if len(pairs):
+            graph.add_edges_from(
+                zip(self._uid_array[pairs[:, 0]].tolist(), self._uid_array[pairs[:, 1]].tolist())
+            )
         return graph
 
     def describe(self) -> str:

@@ -4,8 +4,8 @@ The load-bearing guarantees:
 
 * ``DenseMatrixBackend`` and ``LazyBlockBackend`` produce identical
   ``receptions()`` on random deployments (property test);
-* ``receptions_batch`` matches round-by-round ``receptions`` for both
-  backends (property test);
+* a multi-round ``receptions_table`` matches round-by-round
+  ``receptions`` for both backends (property test);
 * the batched simulator path (``SINRSimulator.run_schedule``) is equivalent
   to a round-by-round execution, counters and wake state included;
 * backend selection threads through ``WirelessNetwork``, the deployment
@@ -29,11 +29,11 @@ from repro.sinr.backends import (
     DenseMatrixBackend,
     LazyBlockBackend,
     PhysicsBackend,
+    Reception,
     make_backend,
 )
 from repro.sinr.model import NUMERIC_TOLERANCE, SINRParameters
 from repro.sinr.network import WirelessNetwork
-from repro.sinr.physics import PhysicsEngine
 
 
 def random_positions(seed: int, n: int, side: float = 3.0) -> np.ndarray:
@@ -46,6 +46,24 @@ def both_backends(positions, **cache_kwargs):
     dense = DenseMatrixBackend(np.asarray(positions, dtype=float), params)
     lazy = LazyBlockBackend(np.asarray(positions, dtype=float), params, **cache_kwargs)
     return dense, lazy
+
+
+def csr_schedule(schedule):
+    """CSR ``(indptr, members)`` form of a list of transmitter index sets."""
+    indptr = np.zeros(len(schedule) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in schedule], out=indptr[1:])
+    members = np.array([int(t) for r in schedule for t in r], dtype=np.int64)
+    return indptr, members
+
+
+def table_rounds(table):
+    """Per-round ``{receiver: Reception}`` dicts of a ``DeliveryTable``."""
+    rounds = [{} for _ in range(table.num_rounds)]
+    for t, r, s, q in zip(
+        table.round_ids.tolist(), table.receivers.tolist(), table.senders.tolist(), table.sinr.tolist()
+    ):
+        rounds[t][r] = Reception(receiver=r, sender=s, sinr=q)
+    return rounds
 
 
 def assert_receptions_close(a, b):
@@ -141,22 +159,22 @@ class TestReceptionsBatch:
         rng = np.random.default_rng(seed + 1)
         schedule = [list(np.flatnonzero(rng.random(n) < 0.35)) for _ in range(rounds)]
         for backend in both_backends(positions):
-            batch = backend.receptions_batch(schedule)
+            batch = table_rounds(backend.receptions_table(*csr_schedule(schedule)))
             assert len(batch) == rounds
             for tx, outcome in zip(schedule, batch):
-                assert_receptions_close(outcome.as_dict(), backend.receptions(tx))
+                assert_receptions_close(outcome, backend.receptions(tx))
 
     def test_batch_respects_listener_restriction(self):
         positions = random_positions(5, 14)
         listeners = [1, 3, 5, 7]
         schedule = [[0, 2], [4], [], [0, 6, 8]]
         for backend in both_backends(positions):
-            batch = backend.receptions_batch(schedule, listeners=listeners)
+            batch = table_rounds(
+                backend.receptions_table(*csr_schedule(schedule), listeners=listeners)
+            )
             for tx, outcome in zip(schedule, batch):
-                assert_receptions_close(
-                    outcome.as_dict(), backend.receptions(tx, listeners=listeners)
-                )
-                assert set(outcome.receivers) <= set(listeners)
+                assert_receptions_close(outcome, backend.receptions(tx, listeners=listeners))
+                assert set(outcome) <= set(listeners)
 
     def test_batch_chunking_boundary(self):
         # Force a tiny block budget so the chunking path is exercised.
@@ -164,9 +182,10 @@ class TestReceptionsBatch:
         dense, _ = both_backends(positions)
         dense._BATCH_BLOCK_ELEMENTS = 10
         schedule = [[0, 1], [2, 3], [4, 5], [0, 5], []]
-        batch = dense.receptions_batch(schedule)
+        batch = table_rounds(dense.receptions_table(*csr_schedule(schedule)))
+        assert len(batch) == len(schedule)
         for tx, outcome in zip(schedule, batch):
-            assert_receptions_close(outcome.as_dict(), dense.receptions(tx))
+            assert_receptions_close(outcome, dense.receptions(tx))
 
 
 class TestSimulatorBatchPath:
@@ -247,7 +266,7 @@ class TestBackendSelection:
             assert issubclass(cls, PhysicsBackend)
 
     def test_physics_engine_is_dense_backend(self):
-        engine = PhysicsEngine(random_positions(1, 4), SINRParameters.default())
+        engine = WirelessNetwork(random_positions(1, 4)).physics
         assert isinstance(engine, DenseMatrixBackend)
         assert isinstance(engine, PhysicsBackend)
 

@@ -21,8 +21,8 @@ from repro.simulation import Message, SINRSimulator, message_bits
 from repro.simulation.schedule import run_schedule
 from repro.selectors.ssf import round_robin_schedule
 from repro.sinr import SINRParameters, WirelessNetwork
+from repro.sinr.backends import DenseMatrixBackend
 from repro.sinr.geometry import pairwise_distances
-from repro.sinr.physics import PhysicsEngine
 
 # A compact strategy for node placements: up to 14 nodes in a 2x2 box with a
 # minimum pairwise separation enforced by rounding to a coarse grid (avoids
@@ -43,7 +43,7 @@ class TestPhysicsAgainstBruteForce:
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_vectorized_receptions_match_direct_sinr_evaluation(self, points, seed):
         params = SINRParameters.default()
-        engine = PhysicsEngine(points, params)
+        engine = DenseMatrixBackend(points, params)
         rng = np.random.default_rng(seed)
         n = len(points)
         transmitters = [i for i in range(n) if rng.random() < 0.4] or [0]

@@ -1,4 +1,4 @@
-"""Tests for the SINR reception physics (repro.sinr.physics)."""
+"""Tests for the SINR reception physics (the dense backend's Equation 1)."""
 
 from __future__ import annotations
 
@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sinr.backends import DenseMatrixBackend
 from repro.sinr.model import SINRParameters
-from repro.sinr.physics import PhysicsEngine, successful_links
 
 
-def make_engine(positions, **kwargs) -> PhysicsEngine:
-    return PhysicsEngine(np.array(positions, dtype=float), SINRParameters(**kwargs))
+def make_engine(positions, **kwargs) -> DenseMatrixBackend:
+    return DenseMatrixBackend(np.array(positions, dtype=float), SINRParameters(**kwargs))
 
 
 class TestBasicReception:
@@ -100,21 +100,6 @@ class TestSINRValues:
             engine.positions[0, 0] = 5.0
 
 
-class TestReceptionMatrix:
-    def test_matrix_marks_successful_links(self):
-        engine = make_engine([[0.0, 0.0], [0.5, 0.0]])
-        matrix = engine.reception_matrix([0])
-        assert matrix.shape == (1, 2)
-        assert matrix[0, 1]
-        assert not matrix[0, 0]
-
-    def test_successful_links_helper(self):
-        engine = make_engine([[0.0, 0.0], [0.5, 0.0], [10.0, 0.0]])
-        links = successful_links(engine, [0])
-        assert (0, 1) in links
-        assert all(sender == 0 for sender, _ in links)
-
-
 class TestMonotonicityProperties:
     @given(st.floats(min_value=0.1, max_value=0.95), st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=40, deadline=None)
@@ -149,7 +134,7 @@ class TestMonotonicityProperties:
 class TestEngineValidation:
     def test_rejects_bad_position_shape(self):
         with pytest.raises(ValueError):
-            PhysicsEngine(np.zeros((3, 3)), SINRParameters.default())
+            DenseMatrixBackend(np.zeros((3, 3)), SINRParameters.default())
 
     def test_size_property(self):
         engine = make_engine([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])

@@ -23,6 +23,7 @@ from repro.sinr import deployment
 from repro.sinr.backends import (
     BACKENDS,
     DenseMatrixBackend,
+    Reception,
     SpatialGridBackend,
     make_backend,
 )
@@ -149,11 +150,19 @@ class TestSpatialDenseEquivalence:
         listeners = [1, 3, 5, 7]
         schedule = [[0, 2], [4], [], [0, 6, 8]]
         dense, spatial = both_backends(positions)
-        for tx, outcome in zip(schedule, spatial.receptions_batch(schedule, listeners=listeners)):
-            assert_receptions_close(
-                outcome.as_dict(), dense.receptions(tx, listeners=listeners)
-            )
-            assert set(outcome.receivers) <= set(listeners)
+        indptr = np.cumsum([0] + [len(tx) for tx in schedule])
+        members = np.array([t for tx in schedule for t in tx], dtype=np.int64)
+        table = spatial.receptions_table(indptr, members, listeners=listeners)
+        assert set(table.receivers.tolist()) <= set(listeners)
+        for t, tx in enumerate(schedule):
+            in_round = table.round_ids == t
+            outcome = {
+                int(r): Reception(receiver=int(r), sender=int(s), sinr=float(q))
+                for r, s, q in zip(
+                    table.receivers[in_round], table.senders[in_round], table.sinr[in_round]
+                )
+            }
+            assert_receptions_close(outcome, dense.receptions(tx, listeners=listeners))
 
     def test_co_located_nodes_handled_identically(self):
         positions = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.6, 0.1]])
