@@ -19,9 +19,13 @@ Reception is evaluated in one place per backend:
 returns a columnar :class:`DeliveryTable`.  The generic implementation here
 is built on the single primitive :meth:`PhysicsBackend.gain_block` (the
 received-power sub-matrix for arbitrary sender/receiver index arrays) and
-serves dense and lazy; spatial overrides it.  :meth:`~PhysicsBackend.receptions`
-(one round, a ``{listener: Reception}`` dict) is a base-class wrapper over
-it, so every entry point realizes the same physics;
+serves dense and lazy; spatial overrides it.  It reduces all rounds of one
+transmitter count together, so its Python iterations scale with chunks x
+distinct round sizes, not with rounds.  Every backend first validates the
+schedule and listener indices (``_schedule_arrays``).
+:meth:`~PhysicsBackend.receptions` (one round, a ``{listener: Reception}``
+dict) is a base-class wrapper over it, so every entry point realizes the
+same physics;
 ``tests/test_backend_differential.py`` checks all three backends against a
 brute-force Equation 1 oracle.
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +81,12 @@ class DeliveryTable:
 
     def __len__(self) -> int:
         return len(self.round_ids)
+
+
+def check_node_indices(indices: np.ndarray, size: int, what: str = "node") -> None:
+    """Raise ``ValueError`` unless every entry of ``indices`` lies in ``[0, size)``."""
+    if indices.size and (indices.min() < 0 or indices.max() >= size):
+        raise ValueError(f"{what} index out of range [0, {size})")
 
 
 def _empty_table(num_rounds: int) -> DeliveryTable:
@@ -168,11 +178,9 @@ class PhysicsBackend(ABC):
         new_xy = np.asarray(new_xy, dtype=float).reshape(-1, 2)
         if len(indices) != len(new_xy):
             raise ValueError("indices and new_xy must have matching lengths")
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= size:
-                raise ValueError("node index out of range")
-            if len(np.unique(indices)) != len(indices):
-                raise ValueError("indices must be duplicate-free")
+        check_node_indices(indices, size)
+        if len(np.unique(indices)) != len(indices):
+            raise ValueError("indices must be duplicate-free")
         return indices, new_xy
 
     # ------------------------------------------------------------------ #
@@ -237,10 +245,32 @@ class PhysicsBackend(ABC):
             )
         }
 
-    def _normalize_listeners(self, listeners: Optional[Sequence[int]]) -> np.ndarray:
-        """Listener index array: defaults to all nodes, dedups preserving order."""
+    def _schedule_arrays(
+        self,
+        tx_indptr: np.ndarray,
+        tx_members: np.ndarray,
+        listeners: Optional[Sequence[int]],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated ``(tx_indptr, tx_members, listeners)`` int64 arrays.
+
+        Listeners default to all nodes and are deduplicated keeping the
+        first occurrence of each, in the given order.  Raises
+        ``ValueError`` for a ``tx_indptr`` that does not start at 0, ever
+        decreases or does not end at ``len(tx_members)``, and for
+        transmitter or listener indices outside ``[0, n)`` -- NumPy would
+        otherwise wrap negative indices silently.
+        """
+        tx_indptr = np.ascontiguousarray(tx_indptr, dtype=np.int64)
+        tx_members = np.ascontiguousarray(tx_members, dtype=np.int64)
+        if tx_indptr.size == 0 or tx_indptr[0] != 0:
+            raise ValueError("tx_indptr must start at 0")
+        if np.any(tx_indptr[1:] < tx_indptr[:-1]):
+            raise ValueError("tx_indptr must be non-decreasing")
+        if tx_indptr[-1] != len(tx_members):
+            raise ValueError("tx_indptr must end at len(tx_members)")
+        check_node_indices(tx_members, self.size, "transmitter")
         if listeners is None:
-            return np.arange(self.size)
+            return tx_indptr, tx_members, np.arange(self.size, dtype=np.int64)
         if isinstance(listeners, np.ndarray) and listeners.dtype.kind in "iu":
             rx = np.ascontiguousarray(listeners, dtype=np.int64)
             if rx.size > 1 and not np.all(np.diff(rx) > 0):
@@ -249,8 +279,10 @@ class PhysicsBackend(ABC):
                 _, first = np.unique(rx, return_index=True)
                 if len(first) != len(rx):
                     rx = rx[np.sort(first)]
-            return rx
-        return np.array(list(dict.fromkeys(int(v) for v in listeners)), dtype=np.int64)
+        else:
+            rx = np.array(list(dict.fromkeys(int(v) for v in listeners)), dtype=np.int64)
+        check_node_indices(rx, self.size, "listener")
+        return tx_indptr, tx_members, rx
 
     def receptions_table(
         self,
@@ -263,80 +295,97 @@ class PhysicsBackend(ABC):
         ``tx_members[tx_indptr[t]:tx_indptr[t + 1]]`` are the transmitter
         indices of round ``t`` (duplicate-free within a round).  The same
         ``listeners`` apply to every round (default: all nodes), except that
-        a round's own transmitters never receive (half-duplex).  Rounds are
-        evaluated in chunked vectorized passes with no per-round Python
-        containers, and the result is a single columnar
-        :class:`DeliveryTable`.
+        a round's own transmitters never receive (half-duplex).  The result
+        is a single columnar :class:`DeliveryTable`.
+
+        Rounds are cut into chunks of at most ``_BATCH_BLOCK_ELEMENTS``
+        gain elements, one :meth:`gain_block` call each.  Within a chunk
+        the entries are stably ordered by their round's transmitter count,
+        so the ``R`` rounds with ``k`` transmitters form one contiguous
+        ``(R, k, listeners)`` view that is reduced in a handful of NumPy
+        calls: Python iterates over chunks x distinct round sizes, never
+        over rounds.  ``sum(axis=1)`` over that C-contiguous view adds the
+        ``k`` rows in order, exactly as a per-round ``sum(axis=0)`` would,
+        so the SINR values do not depend on the grouping.
 
         This is the one reception routine a backend owns: :meth:`receptions`
         wraps it for one round.  The generic implementation
         only relies on :meth:`gain_block` (dense and lazy use it); the
         spatial backend overrides it with its certified batched driver.
         """
-        tx_indptr = np.ascontiguousarray(tx_indptr, dtype=np.int64)
-        tx_members = np.ascontiguousarray(tx_members, dtype=np.int64)
+        tx_indptr, tx_members, rx = self._schedule_arrays(tx_indptr, tx_members, listeners)
         num_rounds = len(tx_indptr) - 1
-        rx = self._normalize_listeners(listeners)
-        if rx.size == 0 or num_rounds == 0 or len(tx_members) == 0:
+        if rx.size == 0 or len(tx_members) == 0:
             return _empty_table(num_rounds)
 
         noise = self._params.noise
         threshold = self._params.beta - NUMERIC_TOLERANCE
         pos_in_rx = np.full(self.size, -1, dtype=np.int64)
         pos_in_rx[rx] = np.arange(rx.size)
+        counts = np.diff(tx_indptr)
 
         out_rounds: List[np.ndarray] = []
-        out_receivers: List[np.ndarray] = []
+        out_pos: List[np.ndarray] = []
         out_senders: List[np.ndarray] = []
         out_sinr: List[np.ndarray] = []
 
         # Chunk rounds so that (chunk transmitter entries) x (listeners)
-        # stays within the block budget; one gain_block call per chunk.
+        # stays within the block budget; a chunk holds at least one round.
         max_rows = max(1, self._BATCH_BLOCK_ELEMENTS // rx.size)
-        counts = np.diff(tx_indptr)
         start = 0
         while start < num_rounds:
-            end = start + 1
-            taken = int(counts[start])
-            while end < num_rounds and taken + counts[end] <= max_rows:
-                taken += int(counts[end])
-                end += 1
-            entries = tx_members[tx_indptr[start] : tx_indptr[end]]
-            if entries.size:
-                # Row i of the block is entry i's gains: each round is a
-                # contiguous row slice, no re-gather.
+            end = int(np.searchsorted(tx_indptr, tx_indptr[start] + max_rows, side="right")) - 1
+            end = max(end, start + 1)
+            lo, hi = int(tx_indptr[start]), int(tx_indptr[end])
+            if lo < hi:
+                sizes = counts[start:end]
+                # Stable order by round size: rounds keep their relative
+                # order and each round its transmitter order.
+                entry_order = np.argsort(np.repeat(sizes, sizes), kind="stable")
+                entries = tx_members[lo:hi][entry_order]
                 block = self.gain_block(entries, rx)
-                base = int(tx_indptr[start])
-                for t in range(start, end):
-                    lo, hi = int(tx_indptr[t]) - base, int(tx_indptr[t + 1]) - base
-                    if lo == hi:
+                round_order = np.argsort(sizes, kind="stable")
+                sorted_sizes = sizes[round_order]
+                group_starts = np.flatnonzero(np.diff(sorted_sizes, prepend=-1))
+                group_ends = np.append(group_starts[1:], sizes.size)
+                row = 0
+                for g0, g1 in zip(group_starts.tolist(), group_ends.tolist()):
+                    k = int(sorted_sizes[g0])
+                    if k == 0:
                         continue
-                    gains_sub = block[lo:hi]
-                    total_power = gains_sub.sum(axis=0)
-                    best_gain = gains_sub.max(axis=0)
+                    num = g1 - g0
+                    gains = block[row : row + num * k].reshape(num, k, rx.size)
+                    tx = entries[row : row + num * k].reshape(num, k)
+                    row += num * k
+                    total_power = gains.sum(axis=1)
+                    best_gain = gains.max(axis=1)
                     # Strongest transmitter == best SINR (see the module docstring).
                     best_sinr = best_gain / (noise + (total_power - best_gain))
                     ok = best_sinr >= threshold
                     # Half-duplex: a round's transmitters never receive in it.
-                    tx_slice = entries[lo:hi]
-                    own = pos_in_rx[tx_slice]
-                    ok[own[own >= 0]] = False
-                    picked = np.flatnonzero(ok)
-                    if not picked.size:
+                    own = pos_in_rx[tx]
+                    listening = own >= 0
+                    ok[np.nonzero(listening)[0], own[listening]] = False
+                    rr, cc = np.nonzero(ok)
+                    if not rr.size:
                         continue
-                    winners = gains_sub[:, picked].argmax(axis=0)
-                    out_rounds.append(np.full(picked.size, t, dtype=np.int64))
-                    out_receivers.append(rx[picked])
-                    out_senders.append(tx_slice[winners])
-                    out_sinr.append(best_sinr[picked])
+                    winners = gains[rr, :, cc].argmax(axis=1)
+                    out_rounds.append(start + round_order[g0:g1][rr])
+                    out_pos.append(cc)
+                    out_senders.append(tx[rr, winners])
+                    out_sinr.append(best_sinr[rr, cc])
             start = end
 
         if not out_rounds:
             return _empty_table(num_rounds)
+        round_ids = np.concatenate(out_rounds)
+        pos = np.concatenate(out_pos)
+        # Restore round-major, listener order within a round.
+        order = np.argsort(round_ids * rx.size + pos, kind="stable")
         return DeliveryTable(
             num_rounds=num_rounds,
-            round_ids=np.concatenate(out_rounds),
-            receivers=np.concatenate(out_receivers),
-            senders=np.concatenate(out_senders),
-            sinr=np.concatenate(out_sinr),
+            round_ids=round_ids[order],
+            receivers=rx[pos[order]],
+            senders=np.concatenate(out_senders)[order],
+            sinr=np.concatenate(out_sinr)[order],
         )

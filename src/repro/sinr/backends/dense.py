@@ -21,7 +21,7 @@ import numpy as np
 
 from ..geometry import pairwise_distances
 from ..model import NUMERIC_TOLERANCE, SINRParameters
-from .base import COLOCATED_GAIN, PhysicsBackend
+from .base import COLOCATED_GAIN, PhysicsBackend, check_node_indices
 
 
 class DenseMatrixBackend(PhysicsBackend):
@@ -222,8 +222,7 @@ class DenseMatrixBackend(PhysicsBackend):
         indices = np.asarray(indices, dtype=np.int64).ravel()
         if not indices.size:
             return
-        if indices.min() < 0 or indices.max() >= self._n:
-            raise ValueError("node index out of range")
+        check_node_indices(indices, self._n)
         keep = np.setdiff1d(np.arange(self._n), indices)
         if not keep.size:
             raise ValueError("cannot remove every node from a backend")

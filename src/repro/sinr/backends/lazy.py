@@ -28,7 +28,7 @@ from typing import Dict
 import numpy as np
 
 from ..model import SINRParameters
-from .base import COLOCATED_GAIN, PhysicsBackend
+from .base import COLOCATED_GAIN, PhysicsBackend, check_node_indices
 
 #: Default bound on the memory held by the row cache (bytes).
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
@@ -167,8 +167,7 @@ class LazyBlockBackend(PhysicsBackend):
         indices = np.asarray(indices, dtype=np.int64).ravel()
         if not indices.size:
             return
-        if indices.min() < 0 or indices.max() >= self._n:
-            raise ValueError("node index out of range")
+        check_node_indices(indices, self._n)
         keep = np.setdiff1d(np.arange(self._n), indices)
         if not keep.size:
             raise ValueError("cannot remove every node from a backend")

@@ -82,7 +82,7 @@ import numpy as np
 
 from ..model import NUMERIC_TOLERANCE, SINRParameters
 from . import _kernels
-from .base import COLOCATED_GAIN, DeliveryTable, PhysicsBackend, _empty_table
+from .base import COLOCATED_GAIN, DeliveryTable, PhysicsBackend, _empty_table, check_node_indices
 
 #: Default cell side, as a multiple of the transmission range.  The margin
 #: over 1.0 guarantees that any transmitter beyond the 3x3 near block (at
@@ -399,8 +399,7 @@ class SpatialGridBackend(PhysicsBackend):
         indices = np.asarray(indices, dtype=np.int64).ravel()
         if not indices.size:
             return
-        if indices.min() < 0 or indices.max() >= self._n:
-            raise ValueError("node index out of range")
+        check_node_indices(indices, self._n)
         keep = np.setdiff1d(np.arange(self._n), indices)
         if not keep.size:
             raise ValueError("cannot remove every node from a backend")
@@ -840,10 +839,8 @@ class SpatialGridBackend(PhysicsBackend):
         (property-tested against the dense backend and a brute-force
         Equation 1 oracle).
         """
-        tx_indptr = np.ascontiguousarray(tx_indptr, dtype=np.int64)
-        tx_members = np.ascontiguousarray(tx_members, dtype=np.int64)
+        tx_indptr, tx_members, rx = self._schedule_arrays(tx_indptr, tx_members, listeners)
         num_rounds = len(tx_indptr) - 1
-        rx = self._normalize_listeners(listeners)
         batch = self._resolve_round_batch(tx_indptr, tx_members)
         bstats = self._batch_stats
         for key in bstats:

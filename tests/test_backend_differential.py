@@ -20,6 +20,8 @@ Structure:
 * the matrix test sweeping families x backends x seeds;
 * bit-identity and hypothesis properties for the batched driver
   (associativity across round splits);
+* a per-round loop reference for the generic dense/lazy path, which must
+  match it to the last bit (``sinr`` included) on random CSR schedules;
 * a golden-digest regression corpus (``golden_reception_digests.json``)
   whose failure message names the first diverging round;
 * counter-accounting and listener-cache invalidation unit tests;
@@ -392,6 +394,124 @@ class TestBatchedDriverProperties:
             SpatialGridBackend(positions, PARAMS, round_batch=True)
         with pytest.raises(ValueError):
             SpatialGridBackend(positions, PARAMS, round_batch=-2)
+
+
+# --------------------------------------------------------------------- #
+# Generic (dense/lazy) path against the per-round reference.
+# --------------------------------------------------------------------- #
+
+
+def per_round_reference(backend, indptr, members, listeners=None):
+    """The generic ``receptions_table`` as one Python iteration per round.
+
+    Chunks rounds greedily under ``_BATCH_BLOCK_ELEMENTS`` (one
+    ``gain_block`` call per chunk) and reduces each round's contiguous row
+    slice on its own.  The shipped routine groups each chunk's rounds by
+    size instead; it must agree with this to the last bit, ``sinr``
+    included.
+    """
+    indptr, members, rx = backend._schedule_arrays(indptr, members, listeners)
+    num_rounds = len(indptr) - 1
+    threshold = PARAMS.beta - NUMERIC_TOLERANCE
+    pos_in_rx = np.full(backend.size, -1, dtype=np.int64)
+    pos_in_rx[rx] = np.arange(rx.size)
+    rows = []
+    max_rows = max(1, backend._BATCH_BLOCK_ELEMENTS // max(rx.size, 1))
+    counts = np.diff(indptr)
+    start = 0
+    while start < num_rounds and rx.size:
+        end, taken = start + 1, int(counts[start])
+        while end < num_rounds and taken + counts[end] <= max_rows:
+            taken += int(counts[end])
+            end += 1
+        entries = members[indptr[start]:indptr[end]]
+        if entries.size:
+            block = backend.gain_block(entries, rx)
+            base = int(indptr[start])
+            for t in range(start, end):
+                lo, hi = int(indptr[t]) - base, int(indptr[t + 1]) - base
+                if lo == hi:
+                    continue
+                gains = block[lo:hi]
+                total = gains.sum(axis=0)
+                best = gains.max(axis=0)
+                sinr = best / (PARAMS.noise + (total - best))
+                ok = sinr >= threshold
+                own = pos_in_rx[entries[lo:hi]]
+                ok[own[own >= 0]] = False
+                picked = np.flatnonzero(ok)
+                winners = gains[:, picked].argmax(axis=0)
+                rows.append((np.full(picked.size, t), rx[picked],
+                             entries[lo:hi][winners], sinr[picked]))
+        start = end
+    return [np.concatenate([r[i] for r in rows]) if rows else np.empty(0)
+            for i in range(4)]
+
+
+@st.composite
+def csr_schedules(draw, n):
+    """CSR rounds over ``0..n-1``: empty rounds interleaved with rounds of
+    1..n transmitters in arbitrary (unsorted) order."""
+    indptr, members = [0], []
+    for _ in range(draw(st.integers(1, 16))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            chosen = []
+        else:
+            chosen = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        members.extend(chosen)
+        indptr.append(len(members))
+    return (np.array(indptr, dtype=np.int64),
+            np.array(members, dtype=np.int64))
+
+
+@st.composite
+def generic_path_cases(draw):
+    positions = draw(positions_strategy)
+    n = len(positions)
+    indptr, members = draw(csr_schedules(n))
+    listeners = draw(st.one_of(
+        st.none(),
+        # Unsorted, duplicated and overlapping the transmitters.
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n).map(np.array),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n),
+    ))
+    pool = n if listeners is None else len(set(np.asarray(listeners).tolist()))
+    # Small budgets split chunks inside and between size groups.
+    budget = draw(st.sampled_from([1, pool, 2 * pool, 5 * pool, 4_000_000]))
+    return positions, indptr, members, listeners, budget
+
+
+class TestGenericPathMatchesPerRoundReference:
+    @given(case=generic_path_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_per_round_loop(self, case):
+        positions, indptr, members, listeners, budget = case
+        for backend in (DenseMatrixBackend(positions.copy(), PARAMS),
+                        LazyBlockBackend(positions.copy(), PARAMS)):
+            backend._BATCH_BLOCK_ELEMENTS = budget
+            table = backend.receptions_table(indptr, members, listeners)
+            rounds, receivers, senders, sinr = per_round_reference(
+                backend, indptr, members, listeners)
+            assert np.array_equal(table.round_ids, rounds)
+            assert np.array_equal(table.receivers, receivers)
+            assert np.array_equal(table.senders, senders)
+            assert np.array_equal(table.sinr, sinr)
+
+    def test_single_listener_wide_rounds(self):
+        """One listener and rounds wider than NumPy's 8-way unrolled sum."""
+        positions = random_positions(4, 40, side=6.0)
+        rng = np.random.default_rng(4)
+        rounds = [rng.permutation(40)[:k] for k in (1, 9, 17, 9, 33, 17, 1)]
+        indptr = np.cumsum([0] + [len(r) for r in rounds])
+        members = np.concatenate(rounds)
+        for listener in range(40):
+            for backend in (DenseMatrixBackend(positions.copy(), PARAMS),
+                            LazyBlockBackend(positions.copy(), PARAMS)):
+                table = backend.receptions_table(indptr, members, [listener])
+                want = per_round_reference(backend, indptr, members, [listener])
+                assert np.array_equal(table.sinr, want[3])
+                assert np.array_equal(table.senders, want[2])
+                assert np.array_equal(table.round_ids, want[0])
 
 
 class TestEdgeCases:

@@ -30,6 +30,7 @@ from repro.sinr.backends import (
     LazyBlockBackend,
     PhysicsBackend,
     Reception,
+    SpatialGridBackend,
     make_backend,
 )
 from repro.sinr.model import NUMERIC_TOLERANCE, SINRParameters
@@ -186,6 +187,55 @@ class TestReceptionsBatch:
         assert len(batch) == len(schedule)
         for tx, outcome in zip(schedule, batch):
             assert_receptions_close(outcome, dense.receptions(tx))
+
+
+ALL_BACKENDS = (DenseMatrixBackend, LazyBlockBackend, SpatialGridBackend)
+
+
+class TestScheduleValidation:
+    """Out-of-range indices and malformed CSR raise instead of wrapping."""
+
+    def backend(self, cls):
+        return cls(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.5, 0.0]]),
+                   SINRParameters.default())
+
+    @pytest.mark.parametrize("cls", ALL_BACKENDS)
+    @pytest.mark.parametrize("listeners", [[-3], [0, 4], np.array([1, -1])])
+    def test_listener_out_of_range(self, cls, listeners):
+        with pytest.raises(ValueError, match="listener index out of range"):
+            self.backend(cls).receptions([0], listeners=listeners)
+
+    @pytest.mark.parametrize("cls", ALL_BACKENDS)
+    @pytest.mark.parametrize("transmitters", [[-1], [0, 4]])
+    def test_transmitter_out_of_range(self, cls, transmitters):
+        backend = self.backend(cls)
+        with pytest.raises(ValueError, match="transmitter index out of range"):
+            backend.receptions(transmitters)
+        with pytest.raises(ValueError, match="transmitter index out of range"):
+            backend.receptions_table(*csr_schedule([[1], transmitters]))
+
+    @pytest.mark.parametrize("cls", ALL_BACKENDS)
+    @pytest.mark.parametrize(
+        "indptr, members, message",
+        [
+            ([1, 2], [0, 1], "start at 0"),
+            ([], [], "start at 0"),
+            ([0, 2, 1, 3], [0, 1, 2], "non-decreasing"),
+            ([0, 1], [0, 1], "end at len"),
+            ([0, 3], [0, 1], "end at len"),
+        ],
+    )
+    def test_malformed_indptr(self, cls, indptr, members, message):
+        with pytest.raises(ValueError, match=message):
+            self.backend(cls).receptions_table(np.array(indptr), np.array(members))
+
+    @pytest.mark.parametrize("cls", ALL_BACKENDS)
+    def test_valid_edge_schedules_still_accepted(self, cls):
+        backend = self.backend(cls)
+        assert backend.receptions_table(np.array([0]), np.array([])).num_rounds == 0
+        assert len(backend.receptions_table(*csr_schedule([[], []]))) == 0
+        assert backend.receptions([0], listeners=[]) == {}
+        assert set(backend.receptions([0], listeners=[3, 1, 1])) == {1}
 
 
 class TestSimulatorBatchPath:

@@ -198,29 +198,43 @@ class TestTimeoutsAndFailures:
 
 class TestBackpressure:
     def test_saturated_service_sheds_with_429_retry_after(self, tmp_path):
+        started, gate = threading.Event(), threading.Event()
+
+        @api.register_algorithm("service-gated-occupant")
+        def gated(sim, config, **params):
+            # Hold the single service slot until the test saw the 429.
+            started.set()
+            gate.wait(timeout=30)
+            from repro.api.catalog import _run_local_broadcast
+
+            return _run_local_broadcast(sim, config)
+
         config = ServiceConfig(port=0, max_workers=1, queue_limit=1)
-        with ServiceHarness(config) as harness:
-            slow = spec_dict(seed=1, nodes=200)
-            outcome = {}
+        try:
+            with ServiceHarness(config) as harness:
+                slow = spec_dict(seed=1)
+                slow["algorithm"] = {"name": "service-gated-occupant", "preset": "fast"}
+                outcome = {}
 
-            def occupy():
+                def occupy():
+                    c = harness.client()
+                    try:
+                        outcome["slow"] = c.run(slow, cache="off")
+                    finally:
+                        c.close()
+
+                thread = threading.Thread(target=occupy)
+                thread.start()
+                assert started.wait(timeout=30), "the occupying run never started"
                 c = harness.client()
-                try:
-                    outcome["slow"] = c.run(slow, cache="off")
-                finally:
-                    c.close()
-
-            thread = threading.Thread(target=occupy)
-            thread.start()
-            # Wait until the slow run actually holds the single slot.
-            c = harness.client()
-            deadline = time.time() + 10
-            while c.health()["pending"] == 0 and time.time() < deadline:
-                time.sleep(0.02)
-            with pytest.raises(ServiceError) as err:
-                c.run(spec_dict(seed=2), cache="off")
-            thread.join(timeout=60)
-            c.close()
+                with pytest.raises(ServiceError) as err:
+                    c.run(spec_dict(seed=2), cache="off")
+                gate.set()
+                thread.join(timeout=60)
+                c.close()
+        finally:
+            gate.set()
+            api.ALGORITHMS._entries.pop("service-gated-occupant", None)
         assert err.value.status == 429
         assert err.value.retry_after is not None and err.value.retry_after >= 1
         assert "slow" in outcome  # the occupying request still completed
