@@ -90,9 +90,9 @@ class DeploymentSpec:
     registered builder; ``seed`` and ``backend`` are threaded to it
     explicitly so multi-seed ensembles and physics-backend swaps never
     require touching ``params``.  ``backend_params`` are constructor options
-    for the named backend -- e.g. ``{"round_batch": 16}`` for the spatial
-    backend's fused round driver, or ``{"gain_dtype": "float32"}`` for the
-    dense backend -- forwarded through :func:`repro.sinr.backends.make_backend`.
+    for the named backend -- e.g. ``{"gain_dtype": "float32"}`` for the
+    dense backend (the spatial backend takes none) -- forwarded through
+    :func:`repro.sinr.backends.make_backend`.
     A spec without backend options serializes exactly as it did before the
     field existed (no ``"backend_params"`` key), so pre-existing JSON
     artifacts and store keys stay bit-identical.

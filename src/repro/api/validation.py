@@ -16,9 +16,9 @@ This module is that boundary:
   field path (``"deployment.params"``, ``"algorithm.name"``, ...);
 * :func:`validate_spec` -- check a structurally sound spec against the
   live registries (deployment kind, algorithm name, config preset,
-  physics backend, mobility kind) and return the list of problems instead
-  of raising on the first one, so a client sees everything wrong with its
-  payload in a single round trip.
+  physics backend and its options, mobility kind) and return the list of
+  problems instead of raising on the first one, so a client sees
+  everything wrong with its payload in a single round trip.
 
 Used by :mod:`repro.service` for every run/session endpoint; useful to any
 caller executing specs it did not construct itself (queue consumers,
@@ -29,6 +29,10 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping, Optional
 
+import numpy as np
+
+from ..sinr.backends import make_backend
+from ..sinr.model import SINRParameters
 from .registry import ALGORITHMS, BACKENDS, CONFIG_PRESETS, DEPLOYMENTS, MOBILITY
 from .specs import RunSpec
 
@@ -64,9 +68,11 @@ def validate_spec(spec: RunSpec) -> List[str]:
 
     A structurally valid spec can still be unexecutable: its deployment
     kind, algorithm name, config preset, physics backend or mobility kind
-    may not be registered (typo, or a plugin not loaded in this process).
-    Returns one message per problem -- an empty list means the executor's
-    registry lookups will all succeed.  Standalone algorithms (which build
+    may not be registered (typo, or a plugin not loaded in this process),
+    and the backend may reject its ``backend_params`` (checked by building
+    it over a one-node placement).  Returns one message per problem -- an
+    empty list means the executor's registry lookups and backend
+    construction will all succeed.  Standalone algorithms (which build
     their own network) skip the deployment-kind check, matching the
     executor; a spec with a dynamics block additionally validates the
     mobility kind and epoch count.
@@ -90,14 +96,12 @@ def validate_spec(spec: RunSpec) -> List[str]:
         problem = _registry_problem("deployment.backend", spec.deployment.backend, BACKENDS, "physics backend")
         if problem is not None:
             problems.append(problem)
-        else:
-            rb = spec.deployment.backend_param_dict().get("round_batch")
-            if rb is not None and not (
-                rb == "auto" or (isinstance(rb, int) and not isinstance(rb, bool) and rb >= 1)
-            ):
-                problems.append(
-                    f"deployment.backend_params.round_batch: must be an int >= 1 or 'auto', got {rb!r}"
-                )
+        elif spec.deployment.backend_params:
+            # The backend judges its own options: build it over one node.
+            try:
+                make_backend(spec.deployment.backend_arg(), np.zeros((1, 2)), SINRParameters.default())
+            except (TypeError, ValueError) as exc:
+                problems.append(f"deployment.backend_params: {exc}")
     if spec.dynamics is not None:
         if algorithm_entry is not None and algorithm_entry.standalone:
             problems.append(

@@ -79,36 +79,9 @@ _DEPLOYMENT_FLAGS = {
 }
 
 
-def _parse_round_batch(value: str) -> object:
-    """argparse type for ``--round-batch``: an int >= 1 or the string 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1 or 'auto', got {value!r}"
-        ) from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'auto', got {value!r}")
-    return parsed
-
-
 def _deployment_spec(args: argparse.Namespace) -> DeploymentSpec:
     params = _DEPLOYMENT_FLAGS[args.deployment](args)
-    backend_params: Dict[str, Any] = {}
-    round_batch = getattr(args, "round_batch", None)
-    if round_batch is not None:
-        if args.backend != "spatial":
-            raise SystemExit("--round-batch only applies to --backend spatial")
-        backend_params["round_batch"] = round_batch
-    return DeploymentSpec(
-        args.deployment,
-        params,
-        seed=args.seed,
-        backend=args.backend,
-        backend_params=backend_params,
-    )
+    return DeploymentSpec(args.deployment, params, seed=args.seed, backend=args.backend)
 
 
 def _run_spec(args: argparse.Namespace, algorithm: str, params: Optional[Dict[str, Any]] = None) -> RunSpec:
@@ -146,15 +119,6 @@ def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
         default="dense",
         help="physics backend: dense (O(n^2) gain matrix), lazy (O(n) memory) "
         "or spatial (grid-indexed, for large n)",
-    )
-    parser.add_argument(
-        "--round-batch",
-        type=_parse_round_batch,
-        default=None,
-        metavar="N|auto",
-        help="spatial backend only: fuse N consecutive schedule rounds per "
-        "evaluation ('auto' sizes batches adaptively; results are identical "
-        "for every value)",
     )
     parser.add_argument(
         "--dump-spec",

@@ -38,9 +38,9 @@ def make_backend(
 
     ``backend`` is a registry name (``"dense"``, ``"lazy"``, ``"spatial"``),
     a ``(name, options)`` pair whose options dict is forwarded to the
-    backend constructor as keyword arguments (e.g. ``("spatial",
-    {"round_batch": 16})`` or ``("dense", {"gain_dtype": "float32"})`` --
-    this is how ``DeploymentSpec.backend_params`` reaches the backend), or
+    backend constructor as keyword arguments (e.g. ``("dense",
+    {"gain_dtype": "float32"})`` -- this is how
+    ``DeploymentSpec.backend_params`` reaches the backend), or
     an already constructed :class:`PhysicsBackend`, whose size must match
     ``positions``.
     """

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +89,28 @@ def check_node_indices(indices: np.ndarray, size: int, what: str = "node") -> No
         raise ValueError(f"{what} index out of range [0, {size})")
 
 
+def _budget_cuts(
+    counts: np.ndarray, budget: int, max_segments: Optional[int] = None
+) -> Iterator[Tuple[int, int]]:
+    """Cut consecutive segments into ``[start, end)`` pieces under a budget.
+
+    ``counts[i]`` is the size of segment ``i`` (a CSR row length).  Pieces
+    are taken greedily from the front: each holds as many whole segments
+    as keep its total size within ``budget`` (and, when given, at most
+    ``max_segments`` segments), but always at least one, so an
+    over-budget segment forms a piece of its own.
+    """
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    num, start = len(counts), 0
+    while start < num:
+        end = int(np.searchsorted(indptr, indptr[start] + budget, side="right")) - 1
+        end = max(end, start + 1)
+        if max_segments is not None:
+            end = min(end, start + max_segments)
+        yield start, end
+        start = end
+
+
 def _empty_table(num_rounds: int) -> DeliveryTable:
     return DeliveryTable(
         num_rounds=num_rounds,
@@ -106,9 +128,10 @@ class PhysicsBackend(ABC):
     reception semantics live here so all backends agree exactly.
     """
 
-    #: Soft cap on the number of gain-matrix elements materialized at once by
-    #: :meth:`receptions_table` (rows x listeners per chunk); keeps peak
-    #: memory bounded even for long schedules over large deployments.
+    #: Soft cap on the number of elements materialized at once -- gain-matrix
+    #: rows x listeners per :meth:`receptions_table` chunk here, pair and
+    #: tile joins in the spatial backend; keeps peak memory bounded even for
+    #: long schedules over large deployments.
     _BATCH_BLOCK_ELEMENTS = 4_000_000
 
     def __init__(self, params: SINRParameters) -> None:
@@ -331,11 +354,7 @@ class PhysicsBackend(ABC):
 
         # Chunk rounds so that (chunk transmitter entries) x (listeners)
         # stays within the block budget; a chunk holds at least one round.
-        max_rows = max(1, self._BATCH_BLOCK_ELEMENTS // rx.size)
-        start = 0
-        while start < num_rounds:
-            end = int(np.searchsorted(tx_indptr, tx_indptr[start] + max_rows, side="right")) - 1
-            end = max(end, start + 1)
+        for start, end in _budget_cuts(counts, max(1, self._BATCH_BLOCK_ELEMENTS // rx.size)):
             lo, hi = int(tx_indptr[start]), int(tx_indptr[end])
             if lo < hi:
                 sizes = counts[start:end]
@@ -374,7 +393,6 @@ class PhysicsBackend(ABC):
                     out_pos.append(cc)
                     out_senders.append(tx[rr, winners])
                     out_sinr.append(best_sinr[rr, cc])
-            start = end
 
         if not out_rounds:
             return _empty_table(num_rounds)

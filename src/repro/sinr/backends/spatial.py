@@ -42,19 +42,21 @@ strongest-transmitter resolution) are the NumPy primitives of
 schedule rounds, and at 100k+ nodes each round's *physics* is cheap -- the
 cost floor is the fixed NumPy call overhead per round (argsort /
 searchsorted / unique on small arrays).  :meth:`receptions_table` therefore
-fuses up to ``round_batch`` consecutive CSR rounds into one composite-keyed
-evaluation (:meth:`_batch_core`): transmitters are keyed by ``round x
-tile``, candidates become unique ``(round, listener)`` pairs, and every
-stage -- the 3x3 join, the ring shells, the grouped far-field bound and the
-segmented exact fallback -- runs once per batch instead of once per round.
-It is the only spatial reception path: a single round (``receptions``) and
-``round_batch=1`` are batches of one.  Every reduction is grouped per
-segment (sequential per-segment accumulation, chunked only at segment
-boundaries), which makes the result **bit-identical** for every batch
-size: fusing rounds changes neither events nor reported SINR values, and
-splitting a schedule at any round boundary is associative.
-``tests/test_backend_differential.py`` pins both properties across
-backends, schedule families and batch sizes.
+cuts the schedule into batches of consecutive CSR rounds -- at most
+``_BATCH_ENTRIES`` transmitter entries and ``_BATCH_ROUNDS`` rounds each,
+with the budget rule every backend chunks by -- and evaluates each batch
+through one composite-keyed pass (:meth:`_batch_core`): transmitters are
+keyed by ``round x tile``, candidates become unique ``(round, listener)``
+pairs, and every stage -- the 3x3 join, the ring shells, the grouped
+far-field bound and the segmented exact fallback -- runs once per batch
+instead of once per round.  It is the only spatial reception path: a
+single round (``receptions``) is a batch of one.  Every reduction is
+grouped per segment (sequential per-segment accumulation, chunked only at
+segment boundaries), which makes the result **bit-identical** for every
+way of cutting the schedule: batching changes neither events nor reported
+SINR values, and splitting a schedule at any round boundary is
+associative.  ``tests/test_backend_differential.py`` pins both properties
+across backends, schedule families and batch limits.
 
 Soundness of the certificates (all bounds are cell-rectangle bounds, valid
 for any point positions inside the cells):
@@ -82,37 +84,20 @@ import numpy as np
 
 from ..model import NUMERIC_TOLERANCE, SINRParameters
 from . import _kernels
-from .base import COLOCATED_GAIN, DeliveryTable, PhysicsBackend, _empty_table, check_node_indices
-
-#: Default cell side, as a multiple of the transmission range.  The margin
-#: over 1.0 guarantees that any transmitter beyond the 3x3 near block (at
-#: distance >= cell) is strictly below the solo-decoding threshold, so the
-#: signal-only rejection certificate is sound.
-_CELL_MARGIN = 1.0 + 1.0 / 16.0
-
-#: Hard floor on the cell side (relative to the transmission range) below
-#: which the signal certificate would no longer clear ``NUMERIC_TOLERANCE``.
-_MIN_CELL_FACTOR = 1.0 + 1e-6
+from .base import (
+    COLOCATED_GAIN,
+    DeliveryTable,
+    PhysicsBackend,
+    _budget_cuts,
+    _empty_table,
+    check_node_indices,
+)
 
 #: Bound on the total number of grid cells, as a multiple of ``n``.  Very
 #: sparse bounding boxes (a handful of nodes spread over a huge area) grow
 #: the cell side instead of materializing an empty mega-grid; larger cells
 #: only loosen performance, never correctness.
 _CELLS_PER_NODE = 8
-
-#: Soft cap on (listeners x occupied tiles) elements materialized at once
-#: by the far-field aggregation (chunked beyond this).
-_FAR_BLOCK_ELEMENTS = 4_000_000
-
-#: Target number of schedule entries (transmitter slots) per fused batch
-#: under ``round_batch="auto"``: enough to amortize the per-call NumPy
-#: floors, small enough that the composite join temporaries stay cache-warm.
-_AUTO_BATCH_TARGET = 4096
-
-#: Ceiling on the fused batch size (``"auto"`` never exceeds it; explicit
-#: integers may).  Keeps composite keys comfortably inside int64 and the
-#: per-batch candidate set bounded on sparse schedules.
-_MAX_ROUND_BATCH = 64
 
 
 def _csr_take(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -122,19 +107,6 @@ def _csr_take(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     offsets = np.cumsum(counts) - counts
     return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
-
-
-def _validate_round_batch(value: object) -> object:
-    """Normalize a ``round_batch`` knob value to ``"auto"`` or an int >= 1."""
-    if isinstance(value, str):
-        if value == "auto":
-            return "auto"
-        raise ValueError(f"round_batch must be an int >= 1 or 'auto', got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"round_batch must be an int >= 1 or 'auto', got {value!r}")
-    if value < 1:
-        raise ValueError(f"round_batch must be an int >= 1 or 'auto', got {value!r}")
-    return int(value)
 
 
 class SpatialGridBackend(PhysicsBackend):
@@ -147,52 +119,38 @@ class SpatialGridBackend(PhysicsBackend):
         construction is not supported: the grid needs coordinates.
     params:
         The :class:`~repro.sinr.model.SINRParameters` of the environment.
-    cell_size:
-        Side of the grid cells.  Defaults to ``transmission_range * 17/16``;
-        must be at least ``transmission_range * (1 + 1e-6)`` so the
-        out-of-block signal certificate stays sound (a :class:`ValueError`
-        guards the floor).  The constructor may *grow* the cell beyond the
-        request to keep the total cell count within ``8 n``.
-    max_ring:
-        Number of exact near-field rings the certification loop expands
-        through before falling back to exact summation (>= 1; default 2,
-        i.e. a 5x5 exact block at the widest).
-    round_batch:
-        Default number of consecutive schedule rounds
-        :meth:`receptions_table` fuses into one composite-keyed evaluation:
-        an ``int >= 1`` or ``"auto"`` (the default), which sizes batches to
-        ~4096 schedule entries, capped at 64 rounds.  Purely a performance
-        knob -- results are bit-identical for every value (``1`` disables
-        fusing).
+
+    The backend has no tuning options: the cell side, the ring depth and
+    the batch limits below are fixed, and none of them changes a result.
     """
 
-    def __init__(
-        self,
-        positions: np.ndarray,
-        params: SINRParameters,
-        cell_size: Optional[float] = None,
-        max_ring: int = 2,
-        round_batch: object = "auto",
-    ) -> None:
+    #: Cell side, as a multiple of the transmission range.  The margin over
+    #: 1.0 guarantees that any transmitter beyond the 3x3 near block (at
+    #: distance >= cell) is strictly below the solo-decoding threshold, so
+    #: the signal-only rejection certificate is sound.  The grid may *grow*
+    #: the cell beyond this to keep the total cell count within ``8 n``.
+    _CELL_MARGIN = 1.0 + 1.0 / 16.0
+
+    #: Number of exact near-field rings the certification loop expands
+    #: through before the far-field bound (a 5x5 exact block at the widest).
+    _MAX_RING = 2
+
+    #: Batch limits of :meth:`receptions_table`: at most this many schedule
+    #: entries (transmitter slots) -- enough to amortize the per-call NumPy
+    #: floors, small enough that the composite join temporaries stay
+    #: cache-warm -- and at most this many rounds, which keeps composite
+    #: keys inside int64 and the per-batch candidate set bounded on sparse
+    #: schedules.
+    _BATCH_ENTRIES = 4096
+    _BATCH_ROUNDS = 64
+
+    def __init__(self, positions: np.ndarray, params: SINRParameters) -> None:
         super().__init__(params)
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("positions must be an (n, 2) array")
-        if max_ring < 1:
-            raise ValueError(f"max_ring must be at least 1, got {max_ring}")
-        floor = params.transmission_range * _MIN_CELL_FACTOR
-        if cell_size is None:
-            cell_size = params.transmission_range * _CELL_MARGIN
-        elif cell_size < floor:
-            raise ValueError(
-                f"cell_size {cell_size!r} is below the certified minimum {floor!r} "
-                "(transmitters outside the 3x3 near block could still be decodable)"
-            )
         self._positions = positions.copy()
         self._n = len(positions)
-        self._base_cell = float(cell_size)
-        self._max_ring = int(max_ring)
-        self._round_batch = _validate_round_batch(round_batch)
         # Grid state, built lazily (and invalidated by mutations that move
         # nodes outside the current bounding box).
         self._cell: float = 0.0
@@ -219,7 +177,6 @@ class SpatialGridBackend(PhysicsBackend):
         # receptions_table call so they describe exactly the last run:
         # rounds_fused + rounds_single + rounds_empty == num_rounds.
         self._batch_stats = {
-            "round_batch": 0,
             "batches": 0,
             "rounds_fused": 0,
             "rounds_single": 0,
@@ -272,8 +229,8 @@ class SpatialGridBackend(PhysicsBackend):
         """Grid geometry, certification counters and batch-driver counters.
 
         Certification counters (``rounds`` .. ``near_pairs``) are cumulative
-        across the backend's lifetime; the batch counters (``round_batch``,
-        ``batches``, ``rounds_fused``, ``rounds_single``, ``rounds_empty``,
+        across the backend's lifetime; the batch counters (``batches``,
+        ``rounds_fused``, ``rounds_single``, ``rounds_empty``,
         ``join_entries``) describe only the most recent
         :meth:`receptions_table` call and satisfy ``rounds_fused +
         rounds_single + rounds_empty == num_rounds`` for that call:
@@ -286,7 +243,7 @@ class SpatialGridBackend(PhysicsBackend):
             "cell_size": self._cell,
             "cells_x": ncx,
             "cells_y": ncy,
-            "max_ring": self._max_ring,
+            "max_ring": self._MAX_RING,
         }
         info.update(self._stats)
         info.update(self._batch_stats)
@@ -299,16 +256,16 @@ class SpatialGridBackend(PhysicsBackend):
     def _build_grid(self) -> None:
         """Anchor the grid on the current bounding box and bucket every node.
 
-        The cell side starts at the configured base and doubles until the
-        total cell count fits the ``8 n`` budget, so sparse mega-areas never
-        materialize empty index structures.  Growing cells is always sound:
+        The cell side starts at ``_CELL_MARGIN`` transmission ranges and
+        doubles until the total cell count fits the ``8 n`` budget, so
+        sparse mega-areas never materialize empty index structures.  Growing cells is always sound:
         every certificate only relies on the cell side being *at least* the
         certified minimum.
         """
         pos = self._positions
         mins = pos.min(axis=0)
         span = pos.max(axis=0) - mins
-        cell = self._base_cell
+        cell = self._params.transmission_range * self._CELL_MARGIN
         budget = max(1024, _CELLS_PER_NODE * self._n)
         while (int(span[0] / cell) + 1) * (int(span[1] / cell) + 1) > budget:
             cell *= 2.0
@@ -523,12 +480,7 @@ class SpatialGridBackend(PhysicsBackend):
         counts = round_tile_ptr[qround + 1] - round_tile_ptr[qround]
         q = uniq.size
         per_tile = np.zeros(q)
-        cum = np.cumsum(counts)
-        start = 0
-        while start < q:
-            base = int(cum[start - 1]) if start else 0
-            end = int(np.searchsorted(cum, base + _FAR_BLOCK_ELEMENTS, side="right"))
-            end = min(q, max(end, start + 1))
+        for start, end in _budget_cuts(counts, self._BATCH_BLOCK_ELEMENTS):
             m = end - start
             pq = np.repeat(np.arange(m, dtype=np.int64), counts[start:end])
             pt = _csr_take(round_tile_ptr[qround[start:end]], counts[start:end])
@@ -537,7 +489,6 @@ class SpatialGridBackend(PhysicsBackend):
             far = (di > ring) | (dj > ring)
             contrib = np.where(far, tile_counts[pt] * self._far_gain[di, dj], 0.0)
             per_tile[start:end] = np.bincount(pq, weights=contrib, minlength=m)
-            start = end
         return per_tile[inverse]
 
     def _exact_eval_segments(
@@ -567,12 +518,7 @@ class SpatialGridBackend(PhysicsBackend):
         best_gain = np.empty(u)
         best_sender = np.empty(u, dtype=np.int64)
         power, alpha = self._params.power, self._params.alpha
-        cum = np.cumsum(seg_counts)
-        start = 0
-        while start < u:
-            base = int(cum[start - 1]) if start else 0
-            end = int(np.searchsorted(cum, base + _FAR_BLOCK_ELEMENTS, side="right"))
-            end = min(u, max(end, start + 1))
+        for start, end in _budget_cuts(seg_counts, self._BATCH_BLOCK_ELEMENTS):
             m = end - start
             pair_cand = np.repeat(np.arange(m, dtype=np.int64), seg_counts[start:end])
             pair_pos = _csr_take(seg_starts[start:end], seg_counts[start:end])
@@ -587,7 +533,6 @@ class SpatialGridBackend(PhysicsBackend):
             totals[start:end] = t
             best_gain[start:end] = g
             best_sender[start:end] = tx_pool[pair_pos[i]]
-            start = end
         return totals, best_gain, best_sender
 
     # ------------------------------------------------------------------ #
@@ -617,23 +562,6 @@ class SpatialGridBackend(PhysicsBackend):
         result = (cells[order], order.astype(np.int64))
         self._listener_cache = (self._grid_version, rx.copy(), result[0], result[1])
         return result
-
-    def _resolve_round_batch(self, tx_indptr: np.ndarray, tx_members: np.ndarray) -> int:
-        """Concrete batch size for this run: the knob, or the auto heuristic.
-
-        ``"auto"`` targets ~``_AUTO_BATCH_TARGET`` schedule entries per
-        fused batch -- dense rounds batch little (physics already dominates),
-        sparse rounds (the TDMA/backoff regime where the per-round call
-        floor dominates) batch up to ``_MAX_ROUND_BATCH``.
-        """
-        value = self._round_batch
-        if value == "auto":
-            num_rounds = len(tx_indptr) - 1
-            if num_rounds <= 1:
-                return 1
-            avg = tx_members.size / num_rounds
-            return int(max(1, min(_MAX_ROUND_BATCH, _AUTO_BATCH_TARGET // max(1.0, avg))))
-        return int(value)
 
     def _batch_core(
         self,
@@ -761,7 +689,7 @@ class SpatialGridBackend(PhysicsBackend):
 
         # Ring expansion: widen the exact region shell by shell, tightening
         # the interference lower bound until the rejection is certified.
-        for ring in range(2, self._max_ring + 1):
+        for ring in range(2, self._MAX_RING + 1):
             if not und.size:
                 break
             shell_l, shell_t = self._tx_pairs(
@@ -787,7 +715,7 @@ class SpatialGridBackend(PhysicsBackend):
         if und.size:
             far_lo = self._far_lower_bound(
                 base_key[und] + cand_cells[und],
-                ucx, ucy, tile_counts, round_tile_ptr, self._max_ring,
+                ucx, ucy, tile_counts, round_tile_ptr, self._MAX_RING,
             )
             ub = near_max[und] / (noise + (near_sum[und] - near_max[und]) + far_lo)
             keep = ub >= threshold
@@ -830,22 +758,21 @@ class SpatialGridBackend(PhysicsBackend):
 
         The listener pool is bucketed once per call and the transmitter
         table is tile-sorted once with a single composite ``(round, cell)``
-        argsort; consecutive rounds are then fused ``round_batch`` (the
-        constructor knob) at a time through :meth:`_batch_core`.  Results
-        are bit-identical for every batch size, 1 included -- fusing only
-        amortizes the per-round NumPy call floors.  :meth:`grid_info`
-        reports the resolved size and the per-run fuse counters.
+        argsort; consecutive rounds are then cut into batches of at most
+        ``_BATCH_ENTRIES`` entries and ``_BATCH_ROUNDS`` rounds and each
+        batch runs through :meth:`_batch_core`.  Results are bit-identical
+        however the schedule is cut, one round per batch included --
+        batching only amortizes the per-round NumPy call floors.
+        :meth:`grid_info` reports the per-run batch counters.
         Semantically identical to the generic chunked path
         (property-tested against the dense backend and a brute-force
         Equation 1 oracle).
         """
         tx_indptr, tx_members, rx = self._schedule_arrays(tx_indptr, tx_members, listeners)
         num_rounds = len(tx_indptr) - 1
-        batch = self._resolve_round_batch(tx_indptr, tx_members)
         bstats = self._batch_stats
         for key in bstats:
             bstats[key] = 0
-        bstats["round_batch"] = batch
         if rx.size == 0 or num_rounds == 0 or len(tx_members) == 0:
             bstats["rounds_empty"] = num_rounds
             return _empty_table(num_rounds)
@@ -869,8 +796,7 @@ class SpatialGridBackend(PhysicsBackend):
         out_receivers: List[np.ndarray] = []
         out_senders: List[np.ndarray] = []
         out_sinr: List[np.ndarray] = []
-        for t0 in range(0, num_rounds, batch):
-            t1 = min(num_rounds, t0 + batch)
+        for t0, t1 in _budget_cuts(round_sizes, self._BATCH_ENTRIES, self._BATCH_ROUNDS):
             lo, hi = int(tx_indptr[t0]), int(tx_indptr[t1])
             span = int(np.count_nonzero(round_sizes[t0:t1]))
             bstats["rounds_empty"] += (t1 - t0) - span

@@ -230,6 +230,43 @@ class TestRegistries:
         assert not api.ALGORITHMS.get("cluster").standalone
 
 
+class TestBackendParamsValidation:
+    """``validate_spec`` asks the named backend to judge its own options."""
+
+    @staticmethod
+    def _spec(backend: str, backend_params: dict) -> RunSpec:
+        return RunSpec(
+            DeploymentSpec("line", {"nodes": 5}, backend=backend, backend_params=backend_params),
+            AlgorithmSpec("cluster"),
+        )
+
+    @pytest.mark.parametrize(
+        "backend, options, named",
+        [
+            ("spatial", {"bogus": 1}, "bogus"),
+            ("spatial", {"round_batch": 16}, "round_batch"),
+            ("dense", {"gain_dtype": "int8"}, "int8"),
+            ("lazy", {"bogus": 1}, "bogus"),
+        ],
+    )
+    def test_rejected_options_are_reported(self, backend, options, named):
+        from repro.api.validation import SpecValidationError, spec_from_request, validate_spec
+
+        spec = self._spec(backend, options)
+        problems = validate_spec(spec)
+        assert len(problems) == 1
+        assert problems[0].startswith("deployment.backend_params:")
+        assert named in problems[0]
+        with pytest.raises(SpecValidationError, match=named):
+            spec_from_request(spec.to_dict())
+
+    def test_accepted_options_pass(self):
+        from repro.api.validation import validate_spec
+
+        assert validate_spec(self._spec("dense", {"gain_dtype": "float32"})) == []
+        assert validate_spec(self._spec("spatial", {})) == []
+
+
 # --------------------------------------------------------------------- #
 # Executor: run / run_grid / run_many.
 # --------------------------------------------------------------------- #

@@ -5,14 +5,16 @@ deployment and any CSR schedule, the dense, lazy and spatial backends emit
 the *same reception events* (receiver, decoded sender, round) as a
 brute-force evaluation of Equation 1, with SINR values matching to tight
 relative tolerance -- and the spatial backend's batched round driver is
-**bit-identical** across batch sizes, from 1 to ``"auto"``.
+**bit-identical** however its batches are cut, from one round each to the
+default limits.
 
 Structure:
 
 * a schedule-family zoo (ssf, wss, wcss node stage, TDMA, round-robin
   cycles, random-with-empty-rounds) generating CSR ``(indptr, members)``
   over node indices;
-* a backend zoo (dense float64, lazy, spatial at K in {1, 7, 64, auto});
+* a backend zoo (dense float64, lazy, spatial with its round cap set to
+  K in {1, 7, 64} on the instance, and at its default limits);
 * a float64 loop oracle stating Equation 1 directly, checked against
   ``receptions_table`` and ``receptions`` of every backend (dense and lazy
   share one evaluation routine, so comparing them with each other alone
@@ -63,6 +65,7 @@ PARAMS = SINRParameters.default()
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_reception_digests.json")
 
+#: Spatial round caps under test; ``"auto"`` keeps the class defaults.
 BATCH_SIZES = (1, 7, 64, "auto")
 
 
@@ -116,6 +119,32 @@ def schedule_csr(family: str, n: int, seed: int) -> tuple:
 FAMILIES = ("ssf", "wss", "wcss", "tdma", "round-robin", "random-empties")
 
 
+def spatial_backend(positions: np.ndarray, batch="auto") -> SpatialGridBackend:
+    """A spatial backend whose batches hold at most ``batch`` rounds.
+
+    ``"auto"`` keeps the default limits; an int overrides the private
+    round cap on this instance only.  No result may depend on it.
+    """
+    backend = SpatialGridBackend(positions, PARAMS)
+    if batch != "auto":
+        backend._BATCH_ROUNDS = batch
+    return backend
+
+
+def reference_cuts(sizes, max_entries: int, max_rounds: int) -> list:
+    """Greedy ``[start, end)`` round batches, one Python step per round."""
+    cuts, start = [], 0
+    while start < len(sizes):
+        end, taken = start + 1, int(sizes[start])
+        while (end < len(sizes) and end - start < max_rounds
+               and taken + int(sizes[end]) <= max_entries):
+            taken += int(sizes[end])
+            end += 1
+        cuts.append((start, end))
+        start = end
+    return cuts
+
+
 def backend_zoo(positions: np.ndarray) -> dict:
     positions = np.asarray(positions, dtype=float)
     zoo = {
@@ -123,9 +152,7 @@ def backend_zoo(positions: np.ndarray) -> dict:
         "lazy": LazyBlockBackend(positions.copy(), PARAMS),
     }
     for k in BATCH_SIZES:
-        zoo[f"spatial-k{k}"] = SpatialGridBackend(
-            positions.copy(), PARAMS, round_batch=k
-        )
+        zoo[f"spatial-k{k}"] = spatial_backend(positions.copy(), k)
     return zoo
 
 
@@ -260,24 +287,24 @@ class TestCrossBackendMatrix:
         n = 30
         positions = random_positions(23, n)
         indptr, members = schedule_csr(family, n, 23)
-        base = SpatialGridBackend(positions.copy(), PARAMS, round_batch=1)
+        base = spatial_backend(positions.copy(), 1)
         reference = base.receptions_table(indptr, members)
         for k in (2, 7, 64, "auto"):
-            other = SpatialGridBackend(positions.copy(), PARAMS, round_batch=k)
+            other = spatial_backend(positions.copy(), k)
             assert_tables_bit_identical(
                 reference, other.receptions_table(indptr, members)
             )
 
-    def test_constructor_knob_sets_resolved_batch(self):
+    def test_batch_limits_keep_results(self):
         n = 20
         positions = random_positions(3, n)
         indptr, members = schedule_csr("ssf", n, 3)
-        fused = SpatialGridBackend(positions.copy(), PARAMS, round_batch=64)
+        fused = spatial_backend(positions.copy())
         batched = fused.receptions_table(indptr, members)
-        assert fused.grid_info()["round_batch"] == 64
-        unfused = SpatialGridBackend(positions.copy(), PARAMS, round_batch=1)
+        unfused = spatial_backend(positions.copy(), 1)
         single = unfused.receptions_table(indptr, members)
-        assert unfused.grid_info()["round_batch"] == 1
+        assert unfused.grid_info()["batches"] == np.count_nonzero(np.diff(indptr))
+        assert fused.grid_info()["batches"] < unfused.grid_info()["batches"]
         assert_tables_bit_identical(batched, single)
 
 
@@ -291,8 +318,7 @@ class TestFloat32DenseLeg:
         indptr, members = schedule_csr("ssf", n, 0)
         dense32 = DenseMatrixBackend(positions.copy(), PARAMS,
                                      gain_dtype=np.float32)
-        spatial = SpatialGridBackend(positions.copy(), PARAMS,
-                                     round_batch="auto")
+        spatial = SpatialGridBackend(positions.copy(), PARAMS)
         a = dense32.receptions_table(indptr, members)
         b = spatial.receptions_table(indptr, members)
         assert np.array_equal(a.round_ids, b.round_ids)
@@ -330,16 +356,24 @@ class TestBatchedDriverProperties:
         sched_seed=st.integers(0, 500),
         rounds=st.integers(1, 12),
         batch=st.sampled_from([2, 3, 7, 64, "auto"]),
+        entries=st.sampled_from([1, 5, 4096]),
+        block=st.sampled_from([1, 7, 4_000_000]),
     )
     @settings(max_examples=40, deadline=None)
     def test_bit_identity_on_grid_snapped_placements(
-        self, positions, sched_seed, rounds, batch
+        self, positions, sched_seed, rounds, batch, entries, block
     ):
-        """Co-located pairs and cell-boundary coordinates, batched."""
+        """Co-located pairs and cell-boundary coordinates, batched.
+
+        The entry budget and the far-field / exact-stage element budget
+        are cut down too, so batches and stage chunks split everywhere.
+        """
         n = len(positions)
         indptr, members = _random_csr(n, sched_seed, rounds)
-        base = SpatialGridBackend(positions.copy(), PARAMS, round_batch=1)
-        other = SpatialGridBackend(positions.copy(), PARAMS, round_batch=batch)
+        base = spatial_backend(positions.copy(), 1)
+        other = spatial_backend(positions.copy(), batch)
+        other._BATCH_ENTRIES = entries
+        other._BATCH_BLOCK_ELEMENTS = block
         assert_tables_bit_identical(
             base.receptions_table(indptr, members),
             other.receptions_table(indptr, members),
@@ -365,7 +399,7 @@ class TestBatchedDriverProperties:
         split = min(split, rounds - 1)
         positions = random_positions(seed, n)
         indptr, members = _random_csr(n, seed + 1, rounds)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
+        backend = spatial_backend(positions, batch)
         full = backend.receptions_table(indptr, members)
 
         lo = int(indptr[split])
@@ -383,17 +417,6 @@ class TestBatchedDriverProperties:
                               np.concatenate([head.senders, tail.senders]))
         assert np.array_equal(full.sinr,
                               np.concatenate([head.sinr, tail.sinr]))
-
-    def test_invalid_round_batch_rejected(self):
-        positions = random_positions(1, 8)
-        with pytest.raises(ValueError):
-            SpatialGridBackend(positions, PARAMS, round_batch=0)
-        with pytest.raises(ValueError):
-            SpatialGridBackend(positions, PARAMS, round_batch="fast")
-        with pytest.raises(ValueError):
-            SpatialGridBackend(positions, PARAMS, round_batch=True)
-        with pytest.raises(ValueError):
-            SpatialGridBackend(positions, PARAMS, round_batch=-2)
 
 
 # --------------------------------------------------------------------- #
@@ -518,7 +541,7 @@ class TestEdgeCases:
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     def test_all_empty_rounds(self, batch):
         positions = random_positions(2, 10)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
+        backend = spatial_backend(positions, batch)
         indptr = np.zeros(6, dtype=np.int64)
         table = backend.receptions_table(indptr, np.empty(0, dtype=np.int64))
         assert table.num_rounds == 5
@@ -531,7 +554,7 @@ class TestEdgeCases:
     def test_everyone_transmits_nobody_listens(self, batch):
         n = 12
         positions = random_positions(4, n)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
+        backend = spatial_backend(positions, batch)
         indptr = np.array([0, n, 2 * n], dtype=np.int64)
         members = np.tile(np.arange(n, dtype=np.int64), 2)
         table = backend.receptions_table(indptr, members)
@@ -546,7 +569,7 @@ class TestEdgeCases:
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     def test_single_node_network(self, batch):
         positions = np.array([[1.0, 1.0]])
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
+        backend = spatial_backend(positions, batch)
         indptr = np.array([0, 1, 1], dtype=np.int64)
         members = np.array([0], dtype=np.int64)
         table = backend.receptions_table(indptr, members)
@@ -563,7 +586,7 @@ class TestEdgeCases:
         n = len(positions)
         indptr, members = schedule_csr("ssf", n, 0)
         dense = DenseMatrixBackend(positions.copy(), PARAMS)
-        spatial = SpatialGridBackend(positions.copy(), PARAMS, round_batch=batch)
+        spatial = spatial_backend(positions.copy(), batch)
         assert_tables_equal(
             dense.receptions_table(indptr, members),
             spatial.receptions_table(indptr, members),
@@ -579,8 +602,8 @@ class TestBatchCounters:
     def _counters(self, backend):
         info = backend.grid_info()
         return {k: info[k] for k in (
-            "round_batch", "batches", "rounds_fused", "rounds_single",
-            "rounds_empty", "join_entries",
+            "batches", "rounds_fused", "rounds_single", "rounds_empty",
+            "join_entries",
         )}
 
     @pytest.mark.parametrize("batch", BATCH_SIZES)
@@ -589,28 +612,32 @@ class TestBatchCounters:
         n = 22
         positions = random_positions(13, n)
         indptr, members = schedule_csr(family, n, 13)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
-        backend.receptions_table(indptr, members)
-        c = self._counters(backend)
         num_rounds = len(indptr) - 1
-        assert c["rounds_fused"] + c["rounds_single"] + c["rounds_empty"] == num_rounds
-        # rounds_single counts non-empty rounds alone in their batch.
         sizes = np.diff(indptr)
-        k = c["round_batch"]
-        per_batch = [np.count_nonzero(sizes[t:t + k]) for t in range(0, num_rounds, k)]
-        assert c["batches"] == sum(1 for m in per_batch if m)
-        assert c["rounds_single"] == sum(1 for m in per_batch if m == 1)
-        assert c["rounds_fused"] == sum(m for m in per_batch if m > 1)
-        if k == 1:
-            assert c["rounds_fused"] == 0
-            assert c["rounds_single"] == np.count_nonzero(sizes)
-        assert c["join_entries"] > 0
+        backend = spatial_backend(positions, batch)
+        # The default entry budget, then one small enough to cut batches
+        # before the round cap does.
+        for entries in (backend._BATCH_ENTRIES, 10):
+            backend._BATCH_ENTRIES = entries
+            backend.receptions_table(indptr, members)
+            c = self._counters(backend)
+            assert c["rounds_fused"] + c["rounds_single"] + c["rounds_empty"] == num_rounds
+            # rounds_single counts non-empty rounds alone in their batch.
+            cuts = reference_cuts(sizes, entries, backend._BATCH_ROUNDS)
+            per_batch = [np.count_nonzero(sizes[a:b]) for a, b in cuts]
+            assert c["batches"] == sum(1 for m in per_batch if m)
+            assert c["rounds_single"] == sum(1 for m in per_batch if m == 1)
+            assert c["rounds_fused"] == sum(m for m in per_batch if m > 1)
+            if batch == 1:
+                assert c["rounds_fused"] == 0
+                assert c["rounds_single"] == np.count_nonzero(sizes)
+            assert c["join_entries"] > 0
 
     def test_counters_reset_per_run(self):
         n = 18
         positions = random_positions(17, n)
         indptr, members = schedule_csr("ssf", n, 17)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=7)
+        backend = spatial_backend(positions, 7)
         backend.receptions_table(indptr, members)
         first = self._counters(backend)
         backend.receptions_table(indptr, members)
@@ -620,15 +647,18 @@ class TestBatchCounters:
         c = self._counters(backend)
         assert c["rounds_fused"] + c["rounds_single"] + c["rounds_empty"] == 2
 
-    def test_auto_batch_reported_in_grid_info(self):
-        n = 20
-        positions = random_positions(19, n)
-        indptr, members = schedule_csr("tdma", n, 19)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch="auto")
+    def test_default_limits_fuse_narrow_schedule(self):
+        """A long, narrow selector schedule (the paper's regime) is fused."""
+        n = 120
+        positions = random_positions(19, n, side=8.0)
+        indptr, members = schedule_csr("ssf", n, 19)
+        backend = SpatialGridBackend(positions, PARAMS)
         backend.receptions_table(indptr, members)
-        info = backend.grid_info()
-        assert isinstance(info["round_batch"], int)
-        assert info["round_batch"] >= 1
+        c = self._counters(backend)
+        num_rounds = len(indptr) - 1
+        assert c["rounds_fused"] + c["rounds_single"] + c["rounds_empty"] == num_rounds
+        assert c["rounds_fused"] > 0
+        assert c["batches"] < np.count_nonzero(np.diff(indptr))
 
 
 class TestListenerBucketCache:
@@ -636,7 +666,7 @@ class TestListenerBucketCache:
         n = 20
         positions = random_positions(29, n)
         indptr, members = _random_csr(n, 29, rounds=8)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=1)
+        backend = spatial_backend(positions, 1)
         backend.receptions_table(indptr, members)
         cached = backend._listener_cache
         assert cached is not None
@@ -671,7 +701,7 @@ class TestListenerBucketCache:
     def test_cache_keyed_on_listener_array_contents(self):
         n = 16
         positions = random_positions(37, n)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=1)
+        backend = spatial_backend(positions, 1)
         indptr, members = _random_csr(n, 37, rounds=4)
         evens = np.arange(0, n, 2)
         odds = np.arange(1, n, 2)
@@ -726,7 +756,7 @@ def _event_digests(table):
 def _golden_table(spec, batch):
     positions = random_positions(spec["seed"], spec["n"], spec["side"])
     indptr, members = schedule_csr(spec["family"], spec["n"], spec["seed"])
-    backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
+    backend = spatial_backend(positions, batch)
     return backend.receptions_table(indptr, members)
 
 
@@ -770,7 +800,7 @@ class TestGoldenDigests:
         for spec in GOLDEN_SPECS:
             whole, _ = _event_digests(_golden_table(spec, batch))
             assert whole == corpus[spec["name"]]["table"], (
-                f"{spec['name']!r} diverges at round_batch={batch}"
+                f"{spec['name']!r} diverges at a {batch}-round cap"
             )
 
 
@@ -804,16 +834,18 @@ class TestKernelBackendLeg:
 
 
 # --------------------------------------------------------------------- #
-# Runner-level threading: the constructor knob holds through the stack.
+# Runner-level threading: batch limits hold through the stack.
 # --------------------------------------------------------------------- #
 
 
 class TestRunnerThreading:
-    def test_run_schedule_round_batch_equivalent(self):
+    def test_run_schedule_batch_cut_equivalent(self):
         net_a = deployment.uniform_random(40, area_side=4.0, seed=43,
-                                          backend=("spatial", {"round_batch": 1}))
+                                          backend="spatial")
         net_b = deployment.uniform_random(40, area_side=4.0, seed=43,
-                                          backend=("spatial", {"round_batch": 16}))
+                                          backend="spatial")
+        net_a.physics._BATCH_ROUNDS = 1
+        net_b.physics._BATCH_ROUNDS = 16
         sched = ssf.prime_residue_ssf(64, 4)
         ids = list(net_a.uids)
         res_a = run_schedule(SINRSimulator(net_a), sched, ids)
@@ -823,6 +855,5 @@ class TestRunnerThreading:
         assert np.array_equal(ra, rb)
         assert np.array_equal(sa, sb)
         assert np.array_equal(va, vb)
-        info = net_b.physics.grid_info()
-        assert info["round_batch"] == 16
-        assert info["rounds_fused"] > 0
+        assert net_a.physics.grid_info()["rounds_fused"] == 0
+        assert net_b.physics.grid_info()["rounds_fused"] > 0

@@ -136,6 +136,24 @@ class TestValidation:
         assert err.value.status == 400
         assert any("deployment.seed" in p for p in err.value.payload["problems"])
 
+    @pytest.mark.parametrize(
+        "backend, options, named",
+        [("spatial", {"bogus": 1}, "bogus"), ("spatial", {"round_batch": 16}, "round_batch"),
+         ("dense", {"gain_dtype": "int8"}, "int8")],
+    )
+    def test_rejected_backend_params_are_400(self, client, backend, options, named):
+        # The backend would raise at build time; that must be a 400 naming
+        # the option, not a 500 from inside the run.
+        bad = spec_dict()
+        bad["deployment"].update(backend=backend, backend_params=options)
+        with pytest.raises(ServiceError) as err:
+            client.run(bad)
+        assert err.value.status == 400
+        problems = err.value.payload["problems"]
+        assert len(problems) == 1
+        assert problems[0].startswith("deployment.backend_params:")
+        assert named in problems[0]
+
 
 class TestRunEndpoint:
     def test_response_payload_identical_to_direct_execution(self, client):

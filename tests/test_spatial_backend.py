@@ -173,13 +173,19 @@ class TestSpatialDenseEquivalence:
     def test_wider_rings_and_custom_cell_stay_equivalent(self):
         positions = random_positions(17, 30, side=6.0)
         dense = DenseMatrixBackend(positions, PARAMS)
-        for kwargs in ({"max_ring": 1}, {"max_ring": 4}, {"cell_size": 2.5}):
-            spatial = SpatialGridBackend(positions, PARAMS, **kwargs)
+        # Set on the instance before the first query builds the grid.
+        for name, value in (("_MAX_RING", 1), ("_MAX_RING", 4),
+                            ("_CELL_MARGIN", 2.5 / PARAMS.transmission_range)):
+            spatial = SpatialGridBackend(positions, PARAMS)
+            setattr(spatial, name, value)
             indptr, members = random_schedule(30, 18)
             assert_tables_equal(
                 dense.receptions_table(indptr, members),
                 spatial.receptions_table(indptr, members),
             )
+            info = spatial.grid_info()
+            assert info["max_ring"] == spatial._MAX_RING
+            assert info["cell_size"] >= spatial._CELL_MARGIN * PARAMS.transmission_range
 
     def test_exact_fallback_is_exercised_not_bypassed(self):
         """Receivers always reach the exact stage; bounds only prune losers."""
@@ -287,12 +293,10 @@ class TestSpatialIncremental:
 
     def test_constructor_validation(self):
         positions = random_positions(0, 6)
-        with pytest.raises(ValueError, match="certified minimum"):
-            SpatialGridBackend(positions, PARAMS, cell_size=0.5 * PARAMS.transmission_range)
-        with pytest.raises(ValueError, match="max_ring"):
-            SpatialGridBackend(positions, PARAMS, max_ring=0)
         with pytest.raises(ValueError, match=r"\(n, 2\)"):
             SpatialGridBackend(np.zeros((4, 3)), PARAMS)
+        with pytest.raises(TypeError):
+            SpatialGridBackend(positions, PARAMS, round_batch=16)
 
     def test_no_distance_matrix_and_readonly_positions(self):
         _, spatial = both_backends(random_positions(2, 5))
