@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark harness (imported by every bench module).
 
-Every benchmark regenerates one table or figure of the paper (see DESIGN.md
-§3) from the simulator.  Wall-clock time is what pytest-benchmark records,
-but the quantity of interest is the number of *simulated rounds*; each
-benchmark therefore stores its measurements in ``benchmark.extra_info`` and
-prints the corresponding table so the run log doubles as the experiment
-report (EXPERIMENTS.md quotes these tables).
+Every benchmark regenerates one table or figure of the paper (see the
+paper map, docs/paper.md) from the simulator.  Wall-clock time is what
+pytest-benchmark records, but the quantity of interest is the number of
+*simulated rounds*; each benchmark therefore stores its measurements in
+``benchmark.extra_info`` and prints the corresponding table so the run log
+doubles as the experiment report.
 """
 
 from __future__ import annotations

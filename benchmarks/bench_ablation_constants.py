@@ -1,4 +1,4 @@
-"""Ablations of the engineering constants documented in DESIGN.md §5.
+"""Ablations of the engineering constants (docs/paper.md, Reproduction notes).
 
 The reproduction replaces the paper's worst-case constants with configurable
 ones; this benchmark quantifies what each knob buys and verifies that the

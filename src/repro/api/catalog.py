@@ -47,13 +47,6 @@ from .registry import ALGORITHMS, DEPLOYMENTS, register_algorithm, register_depl
 
 # --------------------------------------------------------------------- #
 # Deployments (repro.sinr.deployment families, CLI-friendly parameters).
-#
-# Each builder receives ``backend`` opaquely from the executor and forwards
-# it to the deployment generator: a registry name, or -- when the spec sets
-# ``backend_params`` (e.g. the dense backend's ``gain_dtype``) -- a
-# ``(name, options)`` pair resolved by
-# ``repro.sinr.backends.make_backend``.  Builders never inspect it, so new
-# backend options need no catalog changes.
 # --------------------------------------------------------------------- #
 
 

@@ -412,12 +412,11 @@ class RunSet:
 def build_deployment(spec) -> Any:
     """Materialize a :class:`DeploymentSpec` into a ``WirelessNetwork``.
 
-    ``backend_params``, when set, ride along as a ``(name, options)`` pair
-    that flows opaquely through the deployment builder into
+    The backend registry name flows through the deployment builder into
     :func:`repro.sinr.backends.make_backend`.
     """
     builder = DEPLOYMENTS.get(spec.kind)
-    return builder(seed=spec.seed, backend=spec.backend_arg(), **spec.param_dict())
+    return builder(seed=spec.seed, backend=spec.backend, **spec.param_dict())
 
 
 def _resolve_store(store, cache: str):

@@ -89,20 +89,15 @@ class DeploymentSpec:
     like the lower-bound gadget).  ``params`` are keyword arguments of the
     registered builder; ``seed`` and ``backend`` are threaded to it
     explicitly so multi-seed ensembles and physics-backend swaps never
-    require touching ``params``.  ``backend_params`` are constructor options
-    for the named backend -- e.g. ``{"gain_dtype": "float32"}`` for the
-    dense backend (the spatial backend takes none) -- forwarded through
-    :func:`repro.sinr.backends.make_backend`.
-    A spec without backend options serializes exactly as it did before the
-    field existed (no ``"backend_params"`` key), so pre-existing JSON
-    artifacts and store keys stay bit-identical.
+    require touching ``params``.  ``backend`` is a bare registry name:
+    backends take no options, since how a backend stores or caches gains
+    never changes a reception.
     """
 
     kind: str
     params: Tuple[Tuple[str, Any], ...] = ()
     seed: int = 0
     backend: str = "dense"
-    backend_params: Tuple[Tuple[str, Any], ...] = ()
 
     def __init__(
         self,
@@ -110,57 +105,28 @@ class DeploymentSpec:
         params: Optional[Mapping[str, Any]] = None,
         seed: int = 0,
         backend: str = "dense",
-        backend_params: Optional[Mapping[str, Any]] = None,
     ) -> None:
         object.__setattr__(self, "kind", str(kind))
         object.__setattr__(self, "params", _freeze_params(params, "DeploymentSpec.params"))
         object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "backend", str(backend))
-        object.__setattr__(
-            self,
-            "backend_params",
-            _freeze_params(backend_params, "DeploymentSpec.backend_params"),
-        )
 
     def param_dict(self) -> Dict[str, Any]:
         """The parameters as a plain keyword-argument dictionary."""
         return {key: _thaw(value) for key, value in self.params}
-
-    def backend_param_dict(self) -> Dict[str, Any]:
-        """The backend constructor options as a plain dictionary."""
-        return {key: _thaw(value) for key, value in self.backend_params}
-
-    def backend_arg(self) -> Any:
-        """What the executor hands to the deployment builder as ``backend``.
-
-        The bare registry name when no options are set (the historical
-        form), else the ``(name, options)`` pair understood by
-        :func:`repro.sinr.backends.make_backend`.
-        """
-        if not self.backend_params:
-            return self.backend
-        return (self.backend, self.backend_param_dict())
 
     def with_seed(self, seed: int) -> "DeploymentSpec":
         """Copy of this spec with a different placement seed."""
         return replace(self, seed=int(seed))
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON representation (inverse of :meth:`from_dict`).
-
-        The ``"backend_params"`` key is present only when options are set,
-        keeping the historical serialization (and every content-addressed
-        store key derived from it) unchanged for plain specs.
-        """
-        data = {
+        """Plain-JSON representation (inverse of :meth:`from_dict`)."""
+        return {
             "kind": self.kind,
             "params": {key: _thaw(value) for key, value in self.params},
             "seed": self.seed,
             "backend": self.backend,
         }
-        if self.backend_params:
-            data["backend_params"] = {key: _thaw(value) for key, value in self.backend_params}
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DeploymentSpec":
@@ -170,7 +136,6 @@ class DeploymentSpec:
             params=data.get("params") or {},
             seed=data.get("seed", 0),
             backend=data.get("backend", "dense"),
-            backend_params=data.get("backend_params") or {},
         )
 
 

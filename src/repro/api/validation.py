@@ -16,7 +16,7 @@ This module is that boundary:
   field path (``"deployment.params"``, ``"algorithm.name"``, ...);
 * :func:`validate_spec` -- check a structurally sound spec against the
   live registries (deployment kind, algorithm name, config preset,
-  physics backend and its options, mobility kind) and return the list of
+  physics backend, mobility kind) and return the list of
   problems instead of raising on the first one, so a client sees
   everything wrong with its payload in a single round trip.
 
@@ -27,16 +27,13 @@ notebook loaders of third-party artifacts).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, List, Mapping, Optional
 
-import numpy as np
-
-from ..sinr.backends import make_backend
-from ..sinr.model import SINRParameters
 from .registry import ALGORITHMS, BACKENDS, CONFIG_PRESETS, DEPLOYMENTS, MOBILITY
-from .specs import RunSpec
+from .specs import AlgorithmSpec, DeploymentSpec, DynamicsSpec, MobilitySpec, RunSpec
 
-__all__ = ["SpecValidationError", "spec_from_request", "validate_spec"]
+__all__ = ["SpecValidationError", "section_key_problems", "spec_from_request", "validate_spec"]
 
 
 class SpecValidationError(ValueError):
@@ -63,16 +60,43 @@ def _registry_problem(field: str, name: Any, registry, label: str) -> Optional[s
     return f"{field}: unknown {label} {str(name)!r} (available: {', '.join(names)})"
 
 
+#: Spec section path -> the spec class whose fields are its only valid keys.
+_SECTION_SPECS = {
+    "deployment": DeploymentSpec,
+    "algorithm": AlgorithmSpec,
+    "dynamics": DynamicsSpec,
+    "dynamics.mobility": MobilitySpec,
+}
+
+
+def section_key_problems(section: str, data: Any) -> List[str]:
+    """One ``spec.<section>.<key>: unknown key`` problem per unknown key.
+
+    ``section`` is a key of the payload (``"deployment"``, ``"algorithm"``,
+    ``"dynamics"``); its valid keys are the fields of the matching spec
+    class, and a dynamics section also has its ``mobility`` block checked.
+    The ``from_dict`` constructors ignore unknown keys, so a request must
+    pass through here first: a misspelled ``"sed"`` would otherwise run
+    seed 0.  Data that is not a mapping yields no problems here; the
+    section's own parse reports it.
+    """
+    if not isinstance(data, Mapping):
+        return []
+    known = {field.name for field in dataclasses.fields(_SECTION_SPECS[section])}
+    problems = [f"spec.{section}.{key}: unknown key" for key in sorted(set(data) - known, key=str)]
+    if section == "dynamics":
+        problems += section_key_problems("dynamics.mobility", data.get("mobility"))
+    return problems
+
+
 def validate_spec(spec: RunSpec) -> List[str]:
     """Check a spec's names against the live registries; return all problems.
 
     A structurally valid spec can still be unexecutable: its deployment
     kind, algorithm name, config preset, physics backend or mobility kind
-    may not be registered (typo, or a plugin not loaded in this process),
-    and the backend may reject its ``backend_params`` (checked by building
-    it over a one-node placement).  Returns one message per problem -- an
-    empty list means the executor's registry lookups and backend
-    construction will all succeed.  Standalone algorithms (which build
+    may not be registered (typo, or a plugin not loaded in this process).
+    Returns one message per problem -- an empty list means the executor's
+    registry lookups will all succeed.  Standalone algorithms (which build
     their own network) skip the deployment-kind check, matching the
     executor; a spec with a dynamics block additionally validates the
     mobility kind and epoch count.
@@ -96,12 +120,6 @@ def validate_spec(spec: RunSpec) -> List[str]:
         problem = _registry_problem("deployment.backend", spec.deployment.backend, BACKENDS, "physics backend")
         if problem is not None:
             problems.append(problem)
-        elif spec.deployment.backend_params:
-            # The backend judges its own options: build it over one node.
-            try:
-                make_backend(spec.deployment.backend_arg(), np.zeros((1, 2)), SINRParameters.default())
-            except (TypeError, ValueError) as exc:
-                problems.append(f"deployment.backend_params: {exc}")
     if spec.dynamics is not None:
         if algorithm_entry is not None and algorithm_entry.standalone:
             problems.append(
@@ -121,10 +139,10 @@ def spec_from_request(payload: Any, check_registries: bool = True) -> RunSpec:
     Accepts either a bare spec dictionary (the exact :meth:`RunSpec.to_dict`
     shape) or an envelope carrying one under a ``"spec"`` key (the service's
     request format, leaving room for sibling execution options).  Every
-    defect -- wrong top-level type, missing sections, malformed parameter
-    values, and (unless ``check_registries=False``) names unknown to the
-    registries -- raises :class:`SpecValidationError` listing all problems
-    at once.
+    defect -- wrong top-level type, missing sections, unknown keys at the
+    top level or inside a section, malformed parameter values, and (unless
+    ``check_registries=False``) names unknown to the registries -- raises
+    :class:`SpecValidationError` listing all problems at once.
     """
     if isinstance(payload, Mapping) and "spec" in payload:
         payload = payload["spec"]
@@ -147,6 +165,8 @@ def spec_from_request(payload: Any, check_registries: bool = True) -> RunSpec:
     for key in sorted(set(payload) - {"deployment", "algorithm", "tags", "dynamics"}):
         hint = " (the placement seed lives at deployment.seed)" if key == "seed" else ""
         problems.append(f"spec.{key}: unknown key{hint}")
+    for section in ("deployment", "algorithm", "dynamics"):
+        problems += section_key_problems(section, payload.get(section))
     if problems:
         raise SpecValidationError(problems)
     try:

@@ -15,11 +15,11 @@ Their worst-case values are astronomically conservative (packing constants in
 the hundreds), which is irrelevant for an asymptotic analysis but would make
 a faithful simulation intractable.  :class:`AlgorithmConfig` exposes every
 constant with laptop-scale defaults and provides :meth:`AlgorithmConfig.
-faithful` for the paper-accurate values; DESIGN.md §5 records this
-substitution.  All loops additionally support *adaptive termination* (stop
-when a further iteration provably cannot change the outcome), which preserves
-the output exactly while skipping the padding iterations the worst-case
-bounds require.
+faithful` for the paper-accurate values; the reproduction notes of
+docs/paper.md record this substitution.  All loops additionally support
+*adaptive termination* (stop when a further iteration provably cannot change
+the outcome), which preserves the output exactly while skipping the padding
+iterations the worst-case bounds require.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ subtrees).
 
 Both tree passes are message exchanges between confirmed parent/child pairs,
 i.e. replays of the sparsification schedules; their rounds are charged via
-the forest's ``replay_length`` values (see DESIGN.md §5 on deterministic
-replay).
+the forest's ``replay_length`` values (see the deterministic-replay note in
+docs/paper.md, Reproduction notes).
 """
 
 from __future__ import annotations

@@ -23,10 +23,10 @@ before/after benchmark).
 Because the physics is deterministic and the confirmation phase re-executes
 the *same* schedule with the same transmitter sets, its receptions are
 identical to the exchange phase; we therefore charge its rounds without
-re-evaluating them (DESIGN.md §5).  The same replay argument powers
-:func:`neighbor_exchange`, which lets ``H``-neighbours exchange fresh
-payloads at the cost of one schedule length, and the distributed MIS driver
-:func:`distributed_mis`.
+re-evaluating them (docs/paper.md, Reproduction notes).  The same replay
+argument powers :func:`neighbor_exchange`, which lets ``H``-neighbours
+exchange fresh payloads at the cost of one schedule length, and the
+distributed MIS driver :func:`distributed_mis`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ the adversarial argument of Lemma 13 needs (Fact 2 in the paper):
 2. the target ``t`` is within transmission range of ``v_{Delta+1}`` only and
    decodes it only when ``v_{Delta+1}`` is the unique gadget transmitter.
 
-Reproduction note (recorded in DESIGN.md §5): the paper writes the gaps as
+Reproduction note (indexed in docs/paper.md): the paper writes the gaps as
 ``eps / 2^{Delta - i}`` and appeals to "eps small enough"; with an exact SINR
 evaluation the base of the geometric sequence must additionally exceed
 ``1 + 1 / (beta^{1/alpha} - 1)`` for fact 1 to hold for *adjacent* triples,

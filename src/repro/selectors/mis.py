@@ -2,9 +2,9 @@
 
 The paper uses the Schneider-Wattenhofer ``O(log* n)`` MIS algorithm for
 growth-bounded graphs [34] as a black box on constant-degree proximity
-graphs.  Per DESIGN.md §5 (substitution 1) we replace it with the
-deterministic *iterated-local-minima* rule, which yields a maximal
-independent set with the same output guarantees:
+graphs.  Per substitution 1 of the reproduction notes (docs/paper.md) we
+replace it with the deterministic *iterated-local-minima* rule, which
+yields a maximal independent set with the same output guarantees:
 
     repeat until every node is decided:
         every undecided node whose ID is smaller than the IDs of all its

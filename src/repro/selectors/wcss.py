@@ -19,7 +19,7 @@ a compact representation: two ID sets per round instead of a subset of
 As with the wss, the construction is seeded (hence deterministic and shared
 by all nodes), the faithful ``O((k+l) l k^2 log N)`` length is available via
 ``faithful=True``, and a compact default keeps simulations laptop-scale; see
-DESIGN.md §5.
+substitutions 2 and 3 of the reproduction notes (docs/paper.md).
 
 Both stages are stored columnarly (CSR round families, see
 :mod:`repro.selectors._csr`); ``node_rounds`` / ``cluster_rounds`` remain

@@ -16,7 +16,8 @@ exhaustively for the small instances used in unit tests, and
 specific sets that actually occur in a simulation.
 
 The ``size_factor`` knob trades schedule length against the probability of a
-missing witness; see DESIGN.md §5 (substitution 2 and 3).
+missing witness; see substitutions 2 and 3 of the reproduction notes
+(docs/paper.md).
 
 Construction and the witness/selection queries are columnar: the rounds are
 sampled as boolean admission matrices (exact RNG-stream compatible with a

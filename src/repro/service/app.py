@@ -61,7 +61,12 @@ from ..api.executor import FailedResult, RunResult
 from ..api.registry import MOBILITY
 from ..api.specs import AlgorithmSpec, DeploymentSpec, RunSpec
 from ..api.supervisor import backoff_delay
-from ..api.validation import SpecValidationError, spec_from_request, validate_spec
+from ..api.validation import (
+    SpecValidationError,
+    section_key_problems,
+    spec_from_request,
+    validate_spec,
+)
 from ..dynamics.runner import EpochSet, iter_epochs
 from .http import HttpError, Request, Response, StreamingResponse, json_response, run_server
 from .sessions import SessionManager, SessionNotFound, payload_digest
@@ -625,6 +630,9 @@ class SimulationService:
         deployment_data = body.get("deployment")
         if not isinstance(deployment_data, dict):
             raise HttpError(400, "deployment: required section is missing")
+        problems = section_key_problems("deployment", deployment_data)
+        if problems:
+            raise SpecValidationError(problems)
         # Route the deployment through the spec adapter's registry checks by
         # validating a synthetic spec around it.
         try:
@@ -690,6 +698,9 @@ class SimulationService:
         body = request.json()
         if not isinstance(body, dict) or not isinstance(body.get("algorithm"), dict):
             raise HttpError(400, "algorithm: required section is missing")
+        problems = section_key_problems("algorithm", body["algorithm"])
+        if problems:
+            raise SpecValidationError(problems)
         try:
             algorithm = AlgorithmSpec.from_dict(body["algorithm"])
         except (TypeError, ValueError, KeyError) as exc:

@@ -11,7 +11,7 @@ interchangeable everywhere a network or simulator needs physics.  Selection is b
 
 from __future__ import annotations
 
-from typing import Mapping, Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,19 +30,16 @@ BACKENDS = {
 
 
 def make_backend(
-    backend: Union[str, Tuple[str, Mapping[str, object]], PhysicsBackend],
+    backend: Union[str, PhysicsBackend],
     positions: np.ndarray,
     params: SINRParameters,
 ) -> PhysicsBackend:
     """Build (or pass through) a physics backend for a placement.
 
-    ``backend`` is a registry name (``"dense"``, ``"lazy"``, ``"spatial"``),
-    a ``(name, options)`` pair whose options dict is forwarded to the
-    backend constructor as keyword arguments (e.g. ``("dense",
-    {"gain_dtype": "float32"})`` -- this is how
-    ``DeploymentSpec.backend_params`` reaches the backend), or
-    an already constructed :class:`PhysicsBackend`, whose size must match
-    ``positions``.
+    ``backend`` is a registry name (``"dense"``, ``"lazy"``, ``"spatial"``)
+    or an already constructed :class:`PhysicsBackend`, whose size must match
+    ``positions``.  Backends take no options: the name fully determines the
+    physics evaluation.
     """
     if isinstance(backend, PhysicsBackend):
         if backend.size != len(positions):
@@ -50,27 +47,13 @@ def make_backend(
                 f"backend holds {backend.size} nodes but the placement has {len(positions)}"
             )
         return backend
-    options: Mapping[str, object] = {}
-    if isinstance(backend, tuple):
-        if len(backend) != 2 or not isinstance(backend[1], Mapping):
-            raise ValueError(
-                "tuple backend must be (name, options mapping), got " f"{backend!r}"
-            )
-        backend, options = backend
     try:
         cls = BACKENDS[backend]
     except (KeyError, TypeError):
         raise ValueError(
             f"unknown physics backend {backend!r}; available: {sorted(BACKENDS)}"
         ) from None
-    if not options:
-        return cls(np.asarray(positions, dtype=float), params)
-    try:
-        return cls(np.asarray(positions, dtype=float), params, **dict(options))
-    except TypeError as exc:
-        raise ValueError(
-            f"backend {backend!r} rejected options {dict(options)!r}: {exc}"
-        ) from None
+    return cls(np.asarray(positions, dtype=float), params)
 
 
 __all__ = [

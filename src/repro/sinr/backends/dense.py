@@ -35,19 +35,6 @@ class DenseMatrixBackend(PhysicsBackend):
         The :class:`~repro.sinr.model.SINRParameters` of the environment.
     distances:
         Alternatively, a symmetric pairwise-distance matrix (abstract metric).
-    gain_dtype:
-        Storage dtype of the precomputed gain matrix (``np.float64``, the
-        default, or ``np.float32``).  float32 halves the dominant memory
-        cost (the gain matrix) at ~1e-7 relative storage rounding; gains
-        are computed in float64 before the downcast, ``gain_block`` widens
-        back to float64 on gather, and all SINR arithmetic stays float64,
-        so the only deviation from the default is the rounding of the
-        stored matrix entries.  Opt-in: reception decisions within ~1e-7 of
-        the threshold (or strongest-sender ties within ~1e-7 relative) may
-        resolve differently from float64 storage, and the reported SINR of
-        very strong receptions (near-colocated senders) carries amplified
-        relative error -- the *reciprocal* SINR stays accurate to ~1e-5,
-        which is the framing threshold decisions live in.
     """
 
     def __init__(
@@ -55,7 +42,6 @@ class DenseMatrixBackend(PhysicsBackend):
         positions: Optional[np.ndarray],
         params: SINRParameters,
         distances: Optional[np.ndarray] = None,
-        gain_dtype: type = np.float64,
     ) -> None:
         super().__init__(params)
         if distances is None:
@@ -77,24 +63,15 @@ class DenseMatrixBackend(PhysicsBackend):
             self._positions = (
                 np.asarray(positions, dtype=float) if positions is not None else None
             )
-        gain_dtype = np.dtype(gain_dtype)
-        if gain_dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"gain_dtype must be float64 or float32, got {gain_dtype}")
-        self._gain_dtype = gain_dtype
-        # Co-located distinct nodes would have infinite gain; the clamp keeps
-        # arithmetic well defined (reception from a co-located node trivially
-        # succeeds when it is the only transmitter).  The clamp must be
-        # representable in the storage dtype with headroom for summation, so
-        # float32 storage uses its own scaled-down ceiling.
-        self._colocated_gain = min(
-            COLOCATED_GAIN, float(np.finfo(gain_dtype).max) / 2**8
-        )
         self._n = len(distances)
         with np.errstate(divide="ignore"):
             gains = params.power / np.power(distances, params.alpha)
         np.fill_diagonal(gains, 0.0)
-        gains[np.isinf(gains)] = self._colocated_gain
-        self._gains = gains.astype(gain_dtype, copy=False)
+        # Co-located distinct nodes would have infinite gain; the clamp keeps
+        # arithmetic well defined (reception from a co-located node trivially
+        # succeeds when it is the only transmitter).
+        gains[np.isinf(gains)] = COLOCATED_GAIN
+        self._gains = gains
         self._distances = distances
 
     @classmethod
@@ -139,12 +116,8 @@ class DenseMatrixBackend(PhysicsBackend):
         return float(self._gains[sender, receiver])
 
     def gain_block(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-        """Gather the requested sub-matrix of the precomputed gain matrix.
-
-        Always float64: with float32 storage the gather widens, so the SINR
-        arithmetic downstream is float64 regardless of the storage dtype.
-        """
-        return self._gains[np.ix_(senders, receivers)].astype(np.float64, copy=False)
+        """Gather the requested sub-matrix of the precomputed gain matrix."""
+        return self._gains[np.ix_(senders, receivers)]
 
     # ------------------------------------------------------------------ #
     # Incremental placement mutation.
@@ -167,7 +140,7 @@ class DenseMatrixBackend(PhysicsBackend):
         with np.errstate(divide="ignore"):
             gains = self._params.power / np.power(distances, self._params.alpha)
         gains[np.arange(len(row_indices)), row_indices] = 0.0
-        gains[np.isinf(gains)] = self._colocated_gain
+        gains[np.isinf(gains)] = COLOCATED_GAIN
         return gains
 
     def update_positions(self, indices: np.ndarray, new_xy: np.ndarray) -> None:
@@ -208,10 +181,8 @@ class DenseMatrixBackend(PhysicsBackend):
         self._positions = grown
         self._distances = distances
         self._n = n
-        gain_band = self._gain_rows(dist, np.arange(old_n, n)).astype(
-            self._gain_dtype, copy=False
-        )
-        gains = np.empty((n, n), dtype=self._gain_dtype)
+        gain_band = self._gain_rows(dist, np.arange(old_n, n))
+        gains = np.empty((n, n))
         gains[:old_n, :old_n] = self._gains
         gains[old_n:, :] = gain_band
         gains[:, old_n:] = gain_band.T

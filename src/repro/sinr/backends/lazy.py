@@ -30,9 +30,6 @@ import numpy as np
 from ..model import SINRParameters
 from .base import COLOCATED_GAIN, PhysicsBackend, check_node_indices
 
-#: Default bound on the memory held by the row cache (bytes).
-DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
-
 
 class LazyBlockBackend(PhysicsBackend):
     """SINR physics over positions with on-demand gain rows and an LRU cache.
@@ -45,26 +42,21 @@ class LazyBlockBackend(PhysicsBackend):
         the matrix would defeat the O(n) memory goal.
     params:
         The :class:`~repro.sinr.model.SINRParameters` of the environment.
-    cache_bytes:
-        Bound on the bytes kept in the row cache; at least one row is always
-        cached.  The default (64 MiB) caches ~80 full rows at n = 100k.
     """
 
-    def __init__(
-        self,
-        positions: np.ndarray,
-        params: SINRParameters,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
-    ) -> None:
+    #: Bound on the bytes kept in the row cache; at least one row is always
+    #: cached.  64 MiB caches ~80 full rows at n = 100k.
+    _CACHE_BYTES = 64 * 1024 * 1024
+
+    def __init__(self, positions: np.ndarray, params: SINRParameters) -> None:
         super().__init__(params)
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("positions must be an (n, 2) array")
         self._positions = positions
         self._n = len(positions)
-        self._cache_bytes = int(cache_bytes)
-        self._capacity_rows = max(1, self._cache_bytes // (8 * max(1, self._n)))
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._resize_cache()
         self._hits = 0
         self._misses = 0
 
@@ -107,8 +99,8 @@ class LazyBlockBackend(PhysicsBackend):
     # ------------------------------------------------------------------ #
 
     def _resize_cache(self) -> None:
-        """Re-derive the row capacity after ``n`` changed; evict any overflow."""
-        self._capacity_rows = max(1, self._cache_bytes // (8 * max(1, self._n)))
+        """Derive the row capacity from the current ``n``; evict any overflow."""
+        self._capacity_rows = max(1, self._CACHE_BYTES // (8 * max(1, self._n)))
         while len(self._cache) > self._capacity_rows:
             self._cache.popitem(last=False)
 

@@ -230,41 +230,55 @@ class TestRegistries:
         assert not api.ALGORITHMS.get("cluster").standalone
 
 
-class TestBackendParamsValidation:
-    """``validate_spec`` asks the named backend to judge its own options."""
-
-    @staticmethod
-    def _spec(backend: str, backend_params: dict) -> RunSpec:
-        return RunSpec(
-            DeploymentSpec("line", {"nodes": 5}, backend=backend, backend_params=backend_params),
-            AlgorithmSpec("cluster"),
-        )
+class TestSectionKeyValidation:
+    """Unknown keys inside a spec section are rejected, never dropped."""
 
     @pytest.mark.parametrize(
-        "backend, options, named",
+        "path, key, value",
         [
-            ("spatial", {"bogus": 1}, "bogus"),
-            ("spatial", {"round_batch": 16}, "round_batch"),
-            ("dense", {"gain_dtype": "int8"}, "int8"),
-            ("lazy", {"bogus": 1}, "bogus"),
+            ("deployment", "sed", 3),
+            ("deployment", "backnd", "lazy"),
+            ("deployment", "backend_params", {"gain_dtype": "float32"}),
+            ("algorithm", "overide", {"rounds": 1}),
+            ("dynamics", "epoch", 2),
+            ("dynamics.mobility", "param", {"speed": 0.1}),
         ],
     )
-    def test_rejected_options_are_reported(self, backend, options, named):
-        from repro.api.validation import SpecValidationError, spec_from_request, validate_spec
+    def test_unknown_section_key_is_named(self, path, key, value):
+        from repro.api.validation import SpecValidationError, spec_from_request
 
-        spec = self._spec(backend, options)
-        problems = validate_spec(spec)
-        assert len(problems) == 1
-        assert problems[0].startswith("deployment.backend_params:")
-        assert named in problems[0]
-        with pytest.raises(SpecValidationError, match=named):
-            spec_from_request(spec.to_dict())
+        payload = tiny_spec().with_dynamics(
+            DynamicsSpec(MobilitySpec("waypoint", {"speed": 0.05}), epochs=2)
+        ).to_dict()
+        section = payload
+        for part in path.split("."):
+            section = section[part]
+        section[key] = value
+        with pytest.raises(SpecValidationError) as err:
+            spec_from_request(payload)
+        assert err.value.problems == [f"spec.{path}.{key}: unknown key"]
 
-    def test_accepted_options_pass(self):
-        from repro.api.validation import validate_spec
+    def test_all_unknown_keys_reported_at_once(self):
+        from repro.api.validation import SpecValidationError, spec_from_request
 
-        assert validate_spec(self._spec("dense", {"gain_dtype": "float32"})) == []
-        assert validate_spec(self._spec("spatial", {})) == []
+        payload = tiny_spec().to_dict()
+        payload["seed"] = 7
+        payload["deployment"]["sed"] = 7
+        payload["algorithm"]["overide"] = {}
+        with pytest.raises(SpecValidationError) as err:
+            spec_from_request(payload)
+        problems = err.value.problems
+        assert len(problems) == 3
+        assert "spec.deployment.sed: unknown key" in problems
+        assert "spec.algorithm.overide: unknown key" in problems
+
+    def test_every_serialized_key_is_known(self):
+        from repro.api.validation import spec_from_request
+
+        spec = tiny_spec().with_dynamics(
+            DynamicsSpec(MobilitySpec("waypoint", {"speed": 0.05}), epochs=2, events={"crash_prob": 0.1})
+        )
+        assert spec_from_request(spec.to_dict()) == spec
 
 
 # --------------------------------------------------------------------- #

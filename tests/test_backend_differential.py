@@ -308,25 +308,6 @@ class TestCrossBackendMatrix:
         assert_tables_bit_identical(batched, single)
 
 
-class TestFloat32DenseLeg:
-    def test_events_exact_sinr_loose_on_separated_deployment(self):
-        # Well-separated grid: no marginal SINR decisions, so float32 gain
-        # storage changes values but never the event set.
-        xs, ys = np.meshgrid(np.arange(5) * 1.3, np.arange(5) * 1.3)
-        positions = np.column_stack([xs.ravel(), ys.ravel()])
-        n = len(positions)
-        indptr, members = schedule_csr("ssf", n, 0)
-        dense32 = DenseMatrixBackend(positions.copy(), PARAMS,
-                                     gain_dtype=np.float32)
-        spatial = SpatialGridBackend(positions.copy(), PARAMS)
-        a = dense32.receptions_table(indptr, members)
-        b = spatial.receptions_table(indptr, members)
-        assert np.array_equal(a.round_ids, b.round_ids)
-        assert np.array_equal(a.receivers, b.receivers)
-        assert np.array_equal(a.senders, b.senders)
-        np.testing.assert_allclose(a.sinr, b.sinr, rtol=1e-5)
-
-
 # --------------------------------------------------------------------- #
 # Batched-driver properties.
 # --------------------------------------------------------------------- #

@@ -42,10 +42,10 @@ def random_positions(seed: int, n: int, side: float = 3.0) -> np.ndarray:
     return rng.uniform(0.0, side, size=(n, 2))
 
 
-def both_backends(positions, **cache_kwargs):
+def both_backends(positions):
     params = SINRParameters.default()
     dense = DenseMatrixBackend(np.asarray(positions, dtype=float), params)
-    lazy = LazyBlockBackend(np.asarray(positions, dtype=float), params, **cache_kwargs)
+    lazy = LazyBlockBackend(np.asarray(positions, dtype=float), params)
     return dense, lazy
 
 
@@ -110,10 +110,11 @@ class TestBackendEquivalence:
             lazy.receptions(transmitters, listeners),
         )
 
-    def test_lazy_equivalent_under_cache_thrash(self):
+    def test_lazy_equivalent_under_cache_thrash(self, monkeypatch):
         # A one-row cache forces constant eviction; results must not change.
+        monkeypatch.setattr(LazyBlockBackend, "_CACHE_BYTES", 1)
         positions = random_positions(7, 20)
-        dense, lazy = both_backends(positions, cache_bytes=1)
+        dense, lazy = both_backends(positions)
         assert lazy.cache_info()["capacity_rows"] == 1
         for round_seed in range(5):
             rng = np.random.default_rng(round_seed)

@@ -42,6 +42,27 @@ def grid(n: int) -> list:
     return [small_spec().with_seed(seed) for seed in range(n)]
 
 
+class FakeClock:
+    """Stands in for the ``time`` module the queue reads lease ages from."""
+
+    def __init__(self) -> None:
+        self.now = time.time()
+
+    def time(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture()
+def clock(monkeypatch) -> FakeClock:
+    """Freeze the queue's clock; lease ages move only by ``clock.advance``."""
+    fake = FakeClock()
+    monkeypatch.setattr("repro.distributed.queue.time", fake)
+    return fake
+
+
 class TestWorkQueueUnit:
     def test_submit_and_counts(self, tmp_path):
         store = ExperimentStore(tmp_path / "store")
@@ -102,11 +123,11 @@ class TestWorkQueueUnit:
         nxt = queue.claim("w1")
         assert nxt.index == 1
 
-    def test_stale_lease_takeover_counts_attempts(self, tmp_path):
+    def test_stale_lease_takeover_counts_attempts(self, tmp_path, clock):
         store = ExperimentStore(tmp_path / "store")
         queue = WorkQueue.submit(store, "q", grid(1), lease_timeout=0.05)
         claim = queue.claim("w1")
-        time.sleep(0.1)  # let the untended lease expire
+        clock.advance(0.1)  # let the untended lease expire
         taken = queue.claim("w2")
         assert taken is not None
         assert taken.key == claim.key
@@ -123,24 +144,24 @@ class TestWorkQueueUnit:
         taken = queue.claim("w2")
         assert taken is not None and taken.attempts == 2
 
-    def test_abandoned_cell_quarantined_after_budget(self, tmp_path):
+    def test_abandoned_cell_quarantined_after_budget(self, tmp_path, clock):
         store = ExperimentStore(tmp_path / "store")
         queue = WorkQueue.submit(store, "q", grid(1), lease_timeout=0.05)
         for _ in range(3):
             assert queue.claim("w", max_attempts=3) is not None
-            time.sleep(0.1)
+            clock.advance(0.1)
         assert queue.claim("w", max_attempts=3) is None
         failures = queue.failures()
         assert len(failures) == 1
         assert failures[0].kind == "worker-death"
         assert queue.is_complete()
 
-    def test_heartbeat_keeps_lease_fresh(self, tmp_path):
+    def test_heartbeat_keeps_lease_fresh(self, tmp_path, clock):
         store = ExperimentStore(tmp_path / "store")
         queue = WorkQueue.submit(store, "q", grid(1), lease_timeout=0.3)
         claim = queue.claim("w1")
         for _ in range(4):
-            time.sleep(0.1)
+            clock.advance(0.1)
             assert queue.heartbeat(claim)
         assert queue.claim("w2") is None  # never went stale
 

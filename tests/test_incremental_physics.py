@@ -167,11 +167,13 @@ class TestLazyIncrementalUpdate:
         # Only the moved senders' rows were evicted.
         assert info["resident_rows"] == resident_before - 2
 
-    def test_thrashed_cache_survives_churn(self):
+    def test_thrashed_cache_survives_churn(self, monkeypatch):
+        monkeypatch.setattr(LazyBlockBackend, "_CACHE_BYTES", 1)
         rng = np.random.default_rng(13)
         positions = rng.uniform(0, 3, size=(20, 2))
         joins = rng.uniform(0, 3, size=(3, 2))
-        backend = LazyBlockBackend(positions.copy(), PARAMS, cache_bytes=1)
+        backend = LazyBlockBackend(positions.copy(), PARAMS)
+        assert backend.cache_info()["capacity_rows"] == 1
         warm(backend, 20)
         backend.add_nodes(joins)
         backend.remove_nodes(np.array([0, 5, 21]))

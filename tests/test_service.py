@@ -137,22 +137,42 @@ class TestValidation:
         assert any("deployment.seed" in p for p in err.value.payload["problems"])
 
     @pytest.mark.parametrize(
-        "backend, options, named",
-        [("spatial", {"bogus": 1}, "bogus"), ("spatial", {"round_batch": 16}, "round_batch"),
-         ("dense", {"gain_dtype": "int8"}, "int8")],
+        "section, key, value",
+        [("deployment", "sed", 3),
+         ("deployment", "backend_params", {"gain_dtype": "float32"}),
+         ("algorithm", "overide", {"rounds": 1})],
     )
-    def test_rejected_backend_params_are_400(self, client, backend, options, named):
-        # The backend would raise at build time; that must be a 400 naming
-        # the option, not a 500 from inside the run.
+    def test_unknown_section_key_is_400_on_run(self, client, section, key, value):
+        # A dropped key would run a different experiment (seed 0, the
+        # default backend, the preset config) than the client asked for.
         bad = spec_dict()
-        bad["deployment"].update(backend=backend, backend_params=options)
+        bad[section][key] = value
         with pytest.raises(ServiceError) as err:
             client.run(bad)
         assert err.value.status == 400
-        problems = err.value.payload["problems"]
-        assert len(problems) == 1
-        assert problems[0].startswith("deployment.backend_params:")
-        assert named in problems[0]
+        assert err.value.payload["problems"] == [f"spec.{section}.{key}: unknown key"]
+
+    @pytest.mark.parametrize(
+        "key, value", [("sed", 3), ("backend_params", {"gain_dtype": "float32"})]
+    )
+    def test_unknown_deployment_key_is_400_on_session_create(self, client, key, value):
+        deployment = dict(spec_dict()["deployment"], **{key: value})
+        with pytest.raises(ServiceError) as err:
+            client.create_session("stale-keys", deployment)
+        assert err.value.status == 400
+        assert err.value.payload["problems"] == [f"spec.deployment.{key}: unknown key"]
+        assert all(s["name"] != "stale-keys" for s in client.sessions())
+
+    def test_unknown_algorithm_key_is_400_on_session_run(self, client):
+        client.create_session("typo-run", spec_dict(nodes=8)["deployment"])
+        try:
+            algorithm = dict(spec_dict()["algorithm"], overide={"rounds": 1})
+            with pytest.raises(ServiceError) as err:
+                client.session_run("typo-run", algorithm)
+            assert err.value.status == 400
+            assert err.value.payload["problems"] == ["spec.algorithm.overide: unknown key"]
+        finally:
+            client.delete_session("typo-run")
 
 
 class TestRunEndpoint:

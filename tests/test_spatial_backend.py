@@ -308,67 +308,6 @@ class TestSpatialIncremental:
         assert spatial.distance(1, 3) == pytest.approx(dense.distance(1, 3))
 
 
-class TestFloat32DenseOptIn:
-    """float32 gain storage: documented rounding, never a silent dtype leak."""
-
-    def test_gain_block_widens_to_float64(self):
-        positions = random_positions(1, 12)
-        backend = DenseMatrixBackend(positions, PARAMS, gain_dtype=np.float32)
-        assert backend._gains.dtype == np.float32
-        block = backend.gain_block(np.arange(4), np.arange(4, 8))
-        assert block.dtype == np.float64
-
-    def test_rejects_non_float_dtypes(self):
-        with pytest.raises(ValueError, match="float64 or float32"):
-            DenseMatrixBackend(random_positions(0, 4), PARAMS, gain_dtype=np.int32)
-
-    @pytest.mark.parametrize("seed", [3, 11, 42, 107])
-    def test_events_match_float64_within_storage_rounding(self, seed):
-        """Fixed seeds (not hypothesis): float32 rounding can legitimately flip
-        decisions within ~1e-7 of the threshold, so marginal adversarial
-        placements are out of scope; generic deployments must agree.
-
-        SINR values compare in *reciprocal* (interference-to-signal ratio):
-        for very strong receptions (near-colocated senders) the float32
-        accumulation's ``total - gain`` cancellation amplifies the relative
-        error of the huge SINR, while the reciprocal stays accurate to
-        ~1e-5 -- and threshold decisions live at SINR ~ beta, where both
-        framings agree."""
-        positions = random_positions(seed, 40)
-        f64 = DenseMatrixBackend(positions.copy(), PARAMS)
-        f32 = DenseMatrixBackend(positions.copy(), PARAMS, gain_dtype=np.float32)
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            tx = list(np.flatnonzero(rng.random(40) < 0.3))
-            a, b = f64.receptions(tx), f32.receptions(tx)
-            assert set(a) == set(b)
-            for receiver in a:
-                assert a[receiver].sender == b[receiver].sender
-                assert 1.0 / a[receiver].sinr == pytest.approx(
-                    1.0 / b[receiver].sinr, rel=1e-5, abs=1e-5
-                )
-        indptr, members = random_schedule(40, seed + 7)
-        a = f64.receptions_table(indptr, members)
-        b = f32.receptions_table(indptr, members)
-        assert np.array_equal(a.round_ids, b.round_ids)
-        assert np.array_equal(a.receivers, b.receivers)
-        assert np.array_equal(a.senders, b.senders)
-        np.testing.assert_allclose(1.0 / a.sinr, 1.0 / b.sinr, rtol=1e-5, atol=1e-5)
-
-    def test_mutations_preserve_storage_dtype(self):
-        positions = random_positions(5, 20)
-        backend = DenseMatrixBackend(positions.copy(), PARAMS, gain_dtype=np.float32)
-        rng = np.random.default_rng(5)
-        backend.update_positions(np.array([0, 3]), rng.uniform(0, 3, size=(2, 2)))
-        assert backend._gains.dtype == np.float32
-        backend.add_nodes(rng.uniform(0, 3, size=(2, 2)))
-        assert backend._gains.dtype == np.float32
-        backend.remove_nodes(np.array([1]))
-        assert backend._gains.dtype == np.float32
-        fresh = DenseMatrixBackend(backend.positions.copy(), PARAMS, gain_dtype=np.float32)
-        assert np.array_equal(backend._gains, fresh._gains)
-
-
 class TestKernels:
     @given(
         alpha=st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 2.5, 3.7]),
