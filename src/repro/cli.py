@@ -693,8 +693,21 @@ def _parse_seeds(text: str) -> list:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    import json as _json
+
     with open(args.spec, "r", encoding="utf-8") as handle:
-        spec = RunSpec.from_json(handle.read())
+        text = handle.read()
+    # The file is untrusted input: an unknown or misspelled key is an error,
+    # never silently dropped (a dropped "sed" would run seed 0).
+    try:
+        spec = api.spec_from_request(_json.loads(text))
+    except api.SpecValidationError as exc:
+        for problem in exc.problems:
+            print(f"error: {args.spec}: {problem}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {args.spec}: not valid JSON: {exc}", file=sys.stderr)
+        return 2
     seeds = _parse_seeds(args.seeds) if args.seeds else None
     if spec.dynamics is not None:
         # Dynamic scenarios run their epoch loop, not the static executor.

@@ -116,7 +116,16 @@ class DenseMatrixBackend(PhysicsBackend):
         return float(self._gains[sender, receiver])
 
     def gain_block(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-        """Gather the requested sub-matrix of the precomputed gain matrix."""
+        """Gather the requested sub-matrix of the precomputed gain matrix.
+
+        When the receivers are every node in order (the default listener
+        pool) the block is whole rows, taken without the column gather of
+        ``np.ix_``; either way the values are copied unchanged.
+        """
+        receivers = np.asarray(receivers)
+        n = self._gains.shape[0]
+        if receivers.size == n and np.array_equal(receivers, np.arange(n)):
+            return self._gains.take(senders, axis=0)
         return self._gains[np.ix_(senders, receivers)]
 
     # ------------------------------------------------------------------ #

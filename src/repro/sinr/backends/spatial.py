@@ -24,6 +24,17 @@ exploits that structure without ever approximating a result:
   actual receivers plus a thin threshold-marginal shell -- **fall back to
   exact summation** over the full transmitter set, evaluated with the same
   formulas as the dense backend.
+* The certificates are an optional pruning stage, chosen per batch by a
+  **cost rule**: exact evaluation of every candidate costs about
+  ``exact_est`` = sum over candidate tiles of listeners x round size
+  pairs, the ring-1 join alone ``join_est`` = sum over candidate tiles of
+  listeners x same-round transmitters in the tile's 3x3 block.  When
+  ``exact_est <= _EXACT_FIRST_RATIO * join_est`` -- small grids, where the
+  3x3 block holds most of each round, as in the paper's constant-density
+  schedules at n ~ 100 -- the batch skips the ladder and every candidate
+  goes to the exact tail; wide grids keep the ladder.  Both branches share
+  the exact tail, and a candidate's exact result depends only on its own
+  round, so the choice never changes a table.
 
 The certificates are one-sided and sound: a listener is only dropped when
 an *upper bound* on its best achievable SINR is below ``beta -
@@ -47,10 +58,10 @@ cuts the schedule into batches of consecutive CSR rounds -- at most
 with the budget rule every backend chunks by -- and evaluates each batch
 through one composite-keyed pass (:meth:`_batch_core`): transmitters are
 keyed by ``round x tile``, candidates become unique ``(round, listener)``
-pairs, and every stage -- the 3x3 join, the ring shells, the grouped
-far-field bound and the segmented exact fallback -- runs once per batch
-instead of once per round.  It is the only spatial reception path: a
-single round (``receptions``) is a batch of one.  Every reduction is
+pairs, and every stage -- the cost rule, the 3x3 join, the ring shells,
+the grouped far-field bound and the segmented exact fallback -- runs once
+per batch instead of once per round.  It is the only spatial reception
+path: a single round (``receptions``) is a batch of one.  Every reduction is
 grouped per segment (sequential per-segment accumulation, chunked only at
 segment boundaries), which makes the result **bit-identical** for every
 way of cutting the schedule: batching changes neither events nor reported
@@ -144,6 +155,14 @@ class SpatialGridBackend(PhysicsBackend):
     _BATCH_ENTRIES = 4096
     _BATCH_ROUNDS = 64
 
+    #: Cost rule of :meth:`_batch_core`: a batch skips the certificate
+    #: ladder and evaluates every candidate exactly when that exact work
+    #: (listeners x round size, summed over candidate tiles) is at most this
+    #: many times the ring-1 join (listeners x same-round transmitters in
+    #: each tile's 3x3 block).  0 forces the ladder, ``inf`` exact-first;
+    #: neither changes a result.
+    _EXACT_FIRST_RATIO = 4.0
+
     def __init__(self, positions: np.ndarray, params: SINRParameters) -> None:
         super().__init__(params)
         positions = np.asarray(positions, dtype=float)
@@ -182,6 +201,7 @@ class SpatialGridBackend(PhysicsBackend):
             "rounds_single": 0,
             "rounds_empty": 0,
             "join_entries": 0,
+            "batches_exact_first": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -231,11 +251,14 @@ class SpatialGridBackend(PhysicsBackend):
         Certification counters (``rounds`` .. ``near_pairs``) are cumulative
         across the backend's lifetime; the batch counters (``batches``,
         ``rounds_fused``, ``rounds_single``, ``rounds_empty``,
-        ``join_entries``) describe only the most recent
-        :meth:`receptions_table` call and satisfy ``rounds_fused +
+        ``join_entries``, ``batches_exact_first``) describe only the most
+        recent :meth:`receptions_table` call and satisfy ``rounds_fused +
         rounds_single + rounds_empty == num_rounds`` for that call:
         ``rounds_single`` counts non-empty rounds that were the only
         non-empty round of their batch, ``rounds_fused`` the rest.
+        ``batches_exact_first`` counts the batches the cost rule sent
+        straight to exact evaluation (the rest of the batches with
+        candidates ran the certificate ladder).
         """
         self._ensure_grid()
         ncx, ncy = self._shape  # type: ignore[misc]
@@ -581,6 +604,9 @@ class SpatialGridBackend(PhysicsBackend):
         ``btx``/``btcell``/``bround`` are the batch's transmitters, their
         cell ids and their *relative* round ids, stably sorted by
         ``(round, cell)`` -- slices of the per-schedule composite argsort.
+        After the half-duplex probe the cost rule (``_EXACT_FIRST_RATIO``)
+        sends the candidates either straight to :meth:`_exact_tail` or
+        through the certificate ladder first.
         Every stage runs exactly once for the whole batch, keyed by
         ``relative round x cell count + tile`` so rounds never mix;
         per-listener pair sequences, reduction orders and chunk-boundary
@@ -634,7 +660,7 @@ class SpatialGridBackend(PhysicsBackend):
         ny_ = ucy[:, None] + offs[:, 1][None, :]
         ok = (nx_ >= 0) & (nx_ < ncx) & (ny_ >= 0) & (ny_ < ncy)
         base = np.broadcast_to((uround * ncells)[:, None], nx_.shape)[ok]
-        cand_keys = np.unique(base + nx_[ok] * ncy + ny_[ok])
+        cand_keys, nbr_of = np.unique(base + nx_[ok] * ncy + ny_[ok], return_inverse=True)
         cround, ctile = np.divmod(cand_keys, ncells)
         lo = np.searchsorted(rx_cells_sorted, ctile, side="left")
         hi = np.searchsorted(rx_cells_sorted, ctile, side="right")
@@ -653,6 +679,24 @@ class SpatialGridBackend(PhysicsBackend):
         if not cand.size:
             return empty
         stats["candidates"] += cand.size
+
+        # Cost rule: exact evaluation of every candidate costs about
+        # listeners x round size pairs per candidate tile; the ring-1 join
+        # alone costs listeners x same-round transmitters in the tile's 3x3
+        # block.  Where the block holds a large share of the round (small
+        # grids, dense rounds) the certificates cannot save their own cost,
+        # so the batch goes straight to the exact tail.
+        block_tx = np.bincount(
+            nbr_of,
+            weights=np.broadcast_to(tile_counts[:, None], nx_.shape)[ok],
+            minlength=cand_keys.size,
+        )
+        round_sizes = tx_indptr[cround + t0 + 1] - tx_indptr[cround + t0]
+        exact_est = float(ccounts @ round_sizes)
+        join_est = float(ccounts @ block_tx)
+        if exact_est <= self._EXACT_FIRST_RATIO * join_est:
+            bstats["batches_exact_first"] += 1
+            return self._exact_tail(t0, tx_indptr, tx_members, rx, cand, cand_round)
 
         cand_cells = self._cell_of[rx[cand]]
         lcx, lcy = np.divmod(cand_cells, np.int64(ncy))
@@ -723,30 +767,43 @@ class SpatialGridBackend(PhysicsBackend):
             und = und[keep]
         if not und.size:
             return empty
+        return self._exact_tail(t0, tx_indptr, tx_members, rx, cand[und], cand_round[und])
 
-        # Segmented exact fallback (the rare undecidable listener and every
-        # actual receiver), with the dense formulas: each survivor against
-        # its own round's transmitters in schedule order.
-        stats["exact"] += und.size
-        abs_round = cand_round[und] + t0
+    def _exact_tail(
+        self,
+        t0: int,
+        tx_indptr: np.ndarray,
+        tx_members: np.ndarray,
+        rx: np.ndarray,
+        cand: np.ndarray,
+        cand_round: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Exact evaluation, threshold and output order of a batch's survivors.
+
+        ``cand`` are rx-local listener indices and ``cand_round`` their
+        relative rounds -- every candidate on the exact-first branch, the
+        certificate survivors (the rare undecidable listener and every
+        actual receiver) on the ladder.  Each survivor is evaluated with the
+        dense formulas against its own round's transmitters in schedule
+        order, and its result depends only on that segment, so both
+        branches deliver bit-identical events.  Returns ``(absolute round
+        id, rx-local receiver, sender, sinr)`` in round-major,
+        receiver-sorted order.
+        """
+        params = self._params
+        self._stats["exact"] += cand.size
+        abs_round = cand_round + t0
         seg_starts = tx_indptr[abs_round]
         seg_counts = tx_indptr[abs_round + 1] - seg_starts
         totals, best_gain, best_sender = self._exact_eval_segments(
-            tx_members, seg_starts, seg_counts, rx[cand[und]]
+            tx_members, seg_starts, seg_counts, rx[cand]
         )
-        best_sinr = best_gain / (noise + (totals - best_gain))
-        ok_s = np.flatnonzero(best_sinr >= threshold)
-        if not ok_s.size:
-            return empty
-        sel = und[ok_s]
-        recv = cand[sel]
-        order = np.argsort(cand_round[sel] * np.int64(rx.size) + recv, kind="stable")
-        return (
-            cand_round[sel[order]] + t0,
-            recv[order],
-            best_sender[ok_s[order]],
-            best_sinr[ok_s[order]],
-        )
+        best_sinr = best_gain / (params.noise + (totals - best_gain))
+        ok = np.flatnonzero(best_sinr >= params.beta - NUMERIC_TOLERANCE)
+        recv = cand[ok]
+        order = np.argsort(cand_round[ok] * np.int64(rx.size) + recv, kind="stable")
+        ok = ok[order]
+        return abs_round[ok], recv[order], best_sender[ok], best_sinr[ok]
 
     def receptions_table(
         self,

@@ -13,8 +13,9 @@ Structure:
 * a schedule-family zoo (ssf, wss, wcss node stage, TDMA, round-robin
   cycles, random-with-empty-rounds) generating CSR ``(indptr, members)``
   over node indices;
-* a backend zoo (dense float64, lazy, spatial with its round cap set to
-  K in {1, 7, 64} on the instance, and at its default limits);
+* a backend zoo (dense, lazy, spatial with its round cap set to K in
+  {1, 7, 64} on the instance, at its default limits, and with its cost
+  rule forced onto the certificate ladder);
 * a float64 loop oracle stating Equation 1 directly, checked against
   ``receptions_table`` and ``receptions`` of every backend (dense and lazy
   share one evaluation routine, so comparing them with each other alone
@@ -26,8 +27,9 @@ Structure:
   match it to the last bit (``sinr`` included) on random CSR schedules;
 * a golden-digest regression corpus (``golden_reception_digests.json``)
   whose failure message names the first diverging round;
-* counter-accounting and listener-cache invalidation unit tests;
-* a float32 dense leg (looser tolerance, exact events).
+* a forced-branch property: the spatial cost rule's exact-first branch
+  and its certificate ladder give bit-identical tables;
+* counter-accounting and listener-cache invalidation unit tests.
 
 Regenerate the golden corpus after an *intentional* physics change with::
 
@@ -153,6 +155,10 @@ def backend_zoo(positions: np.ndarray) -> dict:
     }
     for k in BATCH_SIZES:
         zoo[f"spatial-k{k}"] = spatial_backend(positions.copy(), k)
+    # Small placements make the cost rule pick exact-first; this leg keeps
+    # the certificate ladder under the oracle and the matrix.
+    zoo["spatial-ladder"] = spatial_backend(positions.copy())
+    zoo["spatial-ladder"]._EXACT_FIRST_RATIO = 0.0
     return zoo
 
 
@@ -218,7 +224,7 @@ def assert_matches_oracle(table, events, indptr, members):
         assert r not in members[indptr[t]:indptr[t + 1]]  # half-duplex
 
 
-ORACLE_BACKENDS = ("dense", "lazy", "spatial-kauto")
+ORACLE_BACKENDS = ("dense", "lazy", "spatial-kauto", "spatial-ladder")
 
 
 class TestEquationOneOracle:
@@ -398,6 +404,42 @@ class TestBatchedDriverProperties:
                               np.concatenate([head.senders, tail.senders]))
         assert np.array_equal(full.sinr,
                               np.concatenate([head.sinr, tail.sinr]))
+
+
+class TestCostRuleBranches:
+    @given(
+        positions=positions_strategy,
+        scale=st.sampled_from([1.0, 4.0]),
+        family=st.sampled_from(FAMILIES),
+        seed=st.integers(0, 500),
+        entries=st.sampled_from([1, 5, 4096]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_forced_branches_bit_identical(self, positions, scale, family, seed, entries):
+        """Exact-first and the certificate ladder deliver the same table.
+
+        One instance runs the schedule with the cost rule forced each way
+        (``_EXACT_FIRST_RATIO`` 0: always the ladder; ``inf``: always
+        exact-first).  The scaled placements spread the nodes over a wide
+        grid, where the certificates really prune.
+        """
+        positions = positions * scale
+        indptr, members = schedule_csr(family, len(positions), seed)
+        backend = spatial_backend(positions)
+        backend._BATCH_ENTRIES = entries
+        backend._EXACT_FIRST_RATIO = 0.0
+        ladder = backend.receptions_table(indptr, members)
+        assert backend.grid_info()["batches_exact_first"] == 0
+        pruned = ("pruned_signal", "pruned_near", "pruned_far")
+        before = [backend.grid_info()[k] for k in pruned]
+        backend._EXACT_FIRST_RATIO = math.inf
+        exact_first = backend.receptions_table(indptr, members)
+        info = backend.grid_info()
+        # Batches whose candidates all transmit stop before the rule.
+        assert info["batches_exact_first"] <= info["batches"]
+        assert info["join_entries"] == 0
+        assert [info[k] for k in pruned] == before
+        assert_tables_bit_identical(ladder, exact_first)
 
 
 # --------------------------------------------------------------------- #
@@ -584,14 +626,16 @@ class TestBatchCounters:
         info = backend.grid_info()
         return {k: info[k] for k in (
             "batches", "rounds_fused", "rounds_single", "rounds_empty",
-            "join_entries",
+            "join_entries", "batches_exact_first",
         )}
 
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     @pytest.mark.parametrize("family", ["ssf", "random-empties"])
     def test_round_accounting_is_total(self, batch, family):
-        n = 22
-        positions = random_positions(13, n)
+        # A wide, sparse placement: the cost rule runs the certificate
+        # ladder on some batches, so the join counter is exercised.
+        n = 40
+        positions = random_positions(13, n, side=12.0)
         indptr, members = schedule_csr(family, n, 13)
         num_rounds = len(indptr) - 1
         sizes = np.diff(indptr)
@@ -612,6 +656,7 @@ class TestBatchCounters:
             if batch == 1:
                 assert c["rounds_fused"] == 0
                 assert c["rounds_single"] == np.count_nonzero(sizes)
+            assert 0 <= c["batches_exact_first"] < c["batches"]
             assert c["join_entries"] > 0
 
     def test_counters_reset_per_run(self):

@@ -231,6 +231,31 @@ class TestSpecWorkflow:
         assert "rounds[total]: 3873" in output
         assert "check[valid_clustering]: True" in output
 
+    def test_run_command_rejects_unknown_spec_keys(self, tmp_path, capsys):
+        """A stale or misspelled key fails the run instead of being dropped."""
+        main(["cluster", "--deployment", "line", "--nodes", "6", "--seed", "1", "--dump-spec"])
+        data = json.loads(capsys.readouterr().out)
+        data["deployment"]["sed"] = 3
+        data["deployment"]["backend_params"] = {"gain_dtype": "float32"}
+        data["algorithm"]["overides"] = {"kappa": 9}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        code = main(["run", "--spec", str(spec_path)])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert "rounds[" not in captured.out
+        for key in ("spec.deployment.sed", "spec.deployment.backend_params",
+                    "spec.algorithm.overides"):
+            assert f"{key}: unknown key" in captured.err
+
+    def test_run_command_rejects_malformed_json(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("{not json")
+        code = main(["run", "--spec", str(spec_path)])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert "not valid JSON" in captured.err
+
     def test_run_command_ensemble_serial(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         out_path = tmp_path / "out.json"

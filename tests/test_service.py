@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 
 import pytest
 
@@ -389,7 +388,7 @@ class TestStreaming:
         assert service.counters["streams_active"] == 0
         assert service.counters["streams_total"] == 1
 
-    def test_client_disconnect_mid_stream_releases_the_stream(self, harness, client):
+    def test_client_disconnect_mid_stream_releases_the_stream(self, harness, client, monkeypatch):
         """Hanging up on a live stream must not leak ``streams_active``.
 
         The transport closes the abandoned chunk generator, so the counter
@@ -399,6 +398,8 @@ class TestStreaming:
         """
         import socket
 
+        counters = _NotifyingCounters(harness.service.counters)
+        monkeypatch.setattr(harness.service, "counters", counters)
         body = json.dumps({"spec": dynamic_spec_dict(seed=35), "stream": True})
         raw = socket.create_connection(("127.0.0.1", harness.port), timeout=30)
         try:
@@ -410,12 +411,23 @@ class TestStreaming:
             assert b"200" in first
         finally:
             raw.close()  # hang up mid-run
-        deadline = time.time() + 30
-        while time.time() < deadline:
-            if client.health()["streams_active"] == 0:
-                break
-            time.sleep(0.2)
+        with counters.changed:
+            counters.changed.wait_for(lambda: counters["streams_active"] == 0, timeout=30)
         assert client.health()["streams_active"] == 0
+
+
+class _NotifyingCounters(dict):
+    """Service counters that signal :attr:`changed` on every update, so a
+    test waits for a counter to reach a value instead of polling it."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.changed = threading.Condition()
+
+    def __setitem__(self, key, value) -> None:
+        with self.changed:
+            super().__setitem__(key, value)
+            self.changed.notify_all()
 
 
 class TestHttpPrimitives:

@@ -12,13 +12,14 @@ mutation-safety contract: concurrent clients observe results identical to
 
 from __future__ import annotations
 
+import asyncio
 import threading
-import time
 
 import pytest
 
 from repro import api
 from repro.service import ServiceConfig, ServiceError
+from repro.service import app as service_app
 from repro.service.sessions import replay_log
 from repro.testing import ServiceHarness
 
@@ -165,6 +166,28 @@ class TestSessionRuns:
         assert log[0]["fingerprint"] != log[2]["fingerprint"]
 
 
+class _DeadlineGate:
+    """Stands in for ``asyncio`` inside the service module.
+
+    Everything is delegated to the real module; ``wait`` additionally
+    opens :attr:`expired` when it returns with work still pending -- the
+    moment a draining session op's deadline fires.  A job that blocks on
+    the gate therefore overruns its deadline without any wall-clock sleep.
+    """
+
+    def __init__(self) -> None:
+        self.expired = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(asyncio, name)
+
+    async def wait(self, fs, **kwargs):
+        done, pending = await asyncio.wait(fs, **kwargs)
+        if pending:
+            self.expired.set()
+        return done, pending
+
+
 class TestSessionTimeoutDraining:
     """A timed-out session op must never abandon its worker thread.
 
@@ -178,13 +201,17 @@ class TestSessionTimeoutDraining:
     fingerprint it was tagged with.
     """
 
-    def test_timed_out_session_run_drains_before_responding(self, tmp_path):
+    def test_timed_out_session_run_drains_before_responding(self, tmp_path, monkeypatch):
         finished = threading.Event()
+        gate = _DeadlineGate()
+        monkeypatch.setattr(service_app, "asyncio", gate)
 
         @api.register_algorithm("service-slow-broadcast")
         def slow(sim, config, **params):
             try:
-                time.sleep(0.4)
+                # Outlast the request deadline by construction: hold the
+                # network until the service has seen the deadline pass.
+                assert gate.expired.wait(timeout=30), "the service never timed out"
                 from repro.api.catalog import _run_local_broadcast
 
                 return _run_local_broadcast(sim, config)

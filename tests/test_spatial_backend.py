@@ -4,9 +4,7 @@ The load-bearing guarantee of ``SpatialGridBackend``: its certified
 near/far-field split is a *pruning* device, not an approximation -- every
 delivered event (receiver, decoded sender, reported SINR) matches the dense
 backend event for event, on single rounds, restricted listener pools,
-batched schedules and across incremental mutations.  The float32 storage
-opt-in on the dense backend is pinned separately (documented looser
-tolerance, still exact event sets on non-marginal deployments).
+batched schedules and across incremental mutations.
 """
 
 from __future__ import annotations
@@ -188,15 +186,20 @@ class TestSpatialDenseEquivalence:
             assert info["cell_size"] >= spatial._CELL_MARGIN * PARAMS.transmission_range
 
     def test_exact_fallback_is_exercised_not_bypassed(self):
-        """Receivers always reach the exact stage; bounds only prune losers."""
-        positions = random_positions(3, 60, side=4.0)
+        """Receivers always reach the exact stage; bounds only prune losers.
+
+        A wide area with sparse rounds, where the cost rule runs the
+        certificate ladder on every round.
+        """
+        positions = random_positions(3, 200, side=16.0)
         dense, spatial = both_backends(positions)
         rng = np.random.default_rng(4)
         deliveries = 0
         for _ in range(5):
-            tx = list(np.flatnonzero(rng.random(60) < 0.15))
+            tx = list(np.flatnonzero(rng.random(200) < 0.08))
             result = spatial.receptions(tx)
             assert_receptions_close(dense.receptions(tx), result)
+            assert spatial.grid_info()["batches_exact_first"] == 0
             deliveries += len(result)
         info = spatial.grid_info()
         assert deliveries > 0
@@ -204,6 +207,23 @@ class TestSpatialDenseEquivalence:
         # certificates did real pruning work around them.
         assert info["exact"] >= deliveries
         assert info["pruned_signal"] + info["pruned_near"] + info["pruned_far"] > 0
+
+    def test_small_grid_goes_exact_first(self):
+        """On a small grid the ring-1 join covers most of each round, so the
+        cost rule skips the certificates: every candidate is evaluated
+        exactly and the output still equals dense."""
+        positions = random_positions(3, 60, side=4.0)
+        dense, spatial = both_backends(positions)
+        indptr, members = random_schedule(60, 4, rounds=6)
+        table = spatial.receptions_table(indptr, members)
+        assert_tables_equal(dense.receptions_table(indptr, members), table)
+        info = spatial.grid_info()
+        assert len(table) > 0
+        assert info["batches"] > 0
+        assert info["batches_exact_first"] == info["batches"]
+        assert info["join_entries"] == 0
+        assert info["pruned_signal"] + info["pruned_near"] + info["pruned_far"] == 0
+        assert info["exact"] == info["candidates"]
 
     def test_non_integral_alpha_uses_general_power_path(self):
         params = SINRParameters(alpha=2.5, beta=1.5, noise=1.0, power=1.5)

@@ -123,25 +123,32 @@ class TestConcurrentReaders:
 
         ctx = multiprocessing.get_context("fork")
         outcome: multiprocessing.Queue = ctx.Queue()
+        polling: multiprocessing.Queue = ctx.Queue()
 
         def poll_until_present() -> None:
             try:
                 reader_store = ExperimentStore(str(root))
                 deadline = time.time() + 30
+                signalled = False
                 while time.time() < deadline:
                     loaded = reader_store.load_result(target_key)
                     if loaded is not None:
                         # First successful sighting must already be complete.
                         outcome.put(("ok", loaded.rounds["total"]))
                         return
+                    if not signalled:
+                        polling.put(True)  # a miss seen: now inside the loop
+                        signalled = True
                 outcome.put(("timeout", None))
             except Exception as exc:  # noqa: BLE001 - any exception is a failure
                 outcome.put(("error", f"{type(exc).__name__}: {exc}"))
+                polling.put(False)  # never leave the publisher waiting
 
         readers = [ctx.Process(target=poll_until_present) for _ in range(3)]
         for proc in readers:
             proc.start()
-        time.sleep(0.2)  # let the readers reach their polling loops
+        for _ in readers:  # publish only once every reader is polling
+            polling.get(timeout=60)
         store.put_result(_result_for(target_spec))
         results = [outcome.get(timeout=60) for _ in readers]
         for proc in readers:
@@ -162,24 +169,31 @@ class TestConcurrentReaders:
 
         ctx = multiprocessing.get_context("fork")
         outcome: multiprocessing.Queue = ctx.Queue()
+        polling: multiprocessing.Queue = ctx.Queue()
 
         def poll_epochs() -> None:
             try:
                 reader_store = ExperimentStore(str(root))
                 deadline = time.time() + 30
+                signalled = False
                 while time.time() < deadline:
                     loaded = reader_store.load_epochs(spec)
                     if loaded is not None:
                         outcome.put(("ok", len(loaded.results)))
                         return
+                    if not signalled:
+                        polling.put(True)  # a miss seen: now inside the loop
+                        signalled = True
                 outcome.put(("timeout", None))
             except Exception as exc:  # noqa: BLE001 - any exception is a failure
                 outcome.put(f"{type(exc).__name__}: {exc}")
+                polling.put(False)  # never leave the publisher waiting
 
         readers = [ctx.Process(target=poll_epochs) for _ in range(3)]
         for proc in readers:
             proc.start()
-        time.sleep(0.1)
+        for _ in readers:  # publish only once every reader is polling
+            polling.get(timeout=60)
         store.put_epochs(epochs)
         results = [outcome.get(timeout=60) for _ in readers]
         for proc in readers:
