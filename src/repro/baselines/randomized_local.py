@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 import numpy as np
 
@@ -60,44 +60,58 @@ class RandomizedLocalBroadcastResult:
         return served / total if total else 1.0
 
 
+#: Rounds per :meth:`SINRSimulator.run_schedule_table` call.  The simulator
+#: runs whole chunks, so its round counter may run up to ``_CHUNK_ROUNDS - 1``
+#: rounds past the completion round.
+_CHUNK_ROUNDS = 32
+
+
 def _run_probabilistic_rounds(
     sim: SINRSimulator,
-    probability_for_round,
+    probability_of_round: Callable[[int], float],
     max_rounds: int,
     rng: np.random.Generator,
     stop_when_complete: bool,
-    chunk_rounds: int = 32,
 ) -> RandomizedLocalBroadcastResult:
-    """Drive the probabilistic rounds through the batched schedule API.
+    """Drive the probabilistic rounds through the columnar schedule API.
 
     The per-round coin flips do not depend on reception outcomes, so the
-    whole transmission schedule is precomputed (with the exact RNG stream a
-    round-by-round execution would draw) and evaluated in blocks of
-    ``chunk_rounds`` via :meth:`SINRSimulator.run_schedule`.  The completion
-    check runs between blocks; deliveries after the completion round are
+    whole transmitter table is precomputed (one uniform draw per node per
+    round, in uid order: the exact RNG stream a round-by-round execution
+    would draw) and evaluated in blocks of ``_CHUNK_ROUNDS`` rounds via
+    :meth:`SINRSimulator.run_schedule_table`.  The completion check runs
+    after every round of a block; deliveries after the completion round are
     discarded and ``completed_round`` / ``rounds_used`` keep the exact
-    round-by-round semantics (the simulator's global counter may run up to
-    ``chunk_rounds - 1`` rounds past completion, the price of batching).
+    round-by-round semantics (the simulator's global counter runs to the
+    end of the completing block, the price of batching).
     """
     network = sim.network
     uids = list(network.uids)
+    uid_array = np.asarray(uids, dtype=np.int64)
     required = {uid: set(network.neighbors(uid)) for uid in uids}
     result = RandomizedLocalBroadcastResult(delivered={uid: set() for uid in uids})
     start_round = sim.current_round
 
-    rounds: List[List[int]] = []
-    for local_round in range(1, max_rounds + 1):
-        selected = [
-            uid for uid in uids if rng.random() < probability_for_round(uid, local_round)
-        ]
-        rounds.append(selected)
+    selected = [
+        np.flatnonzero(rng.random(len(uids)) < probability_of_round(local_round))
+        for local_round in range(1, max_rounds + 1)
+    ]
+    counts = np.fromiter((len(s) for s in selected), dtype=np.int64, count=max_rounds)
+    tx_uids = uid_array[np.concatenate(selected)] if max_rounds else uid_array[:0]
+    tx_round_ids = np.repeat(np.arange(max_rounds, dtype=np.int64), counts)
 
-    for chunk_start in range(0, max_rounds, chunk_rounds):
-        chunk = rounds[chunk_start : chunk_start + chunk_rounds]
-        deliveries = sim.run_schedule(chunk, phase="rand-local")
-        for offset, round_deliveries in enumerate(deliveries):
-            for listener, sender in round_deliveries:
-                result.delivered[sender].add(listener)
+    for chunk_start in range(0, max_rounds, _CHUNK_ROUNDS):
+        num_rounds = min(_CHUNK_ROUNDS, max_rounds - chunk_start)
+        lo, hi = np.searchsorted(tx_round_ids, [chunk_start, chunk_start + num_rounds])
+        deliveries = sim.run_schedule_table(
+            num_rounds, tx_round_ids[lo:hi] - chunk_start, tx_uids[lo:hi], phase="rand-local"
+        )
+        bounds = np.searchsorted(deliveries.round_ids, np.arange(num_rounds + 1)).tolist()
+        receivers = deliveries.receiver_uids.tolist()
+        senders = deliveries.sender_uids.tolist()
+        for offset in range(num_rounds):
+            for i in range(bounds[offset], bounds[offset + 1]):
+                result.delivered[senders[i]].add(receivers[i])
             if stop_when_complete and all(
                 required[uid] <= result.delivered[uid] for uid in uids
             ):
@@ -134,7 +148,7 @@ def randomized_local_broadcast_known_density(
     max_rounds = max(1, int(math.ceil(rounds_factor * delta * (math.log(max(n, 2)) + 1))))
     return _run_probabilistic_rounds(
         sim,
-        probability_for_round=lambda uid, r: 1.0 / delta,
+        probability_of_round=lambda r: 1.0 / delta,
         max_rounds=max_rounds,
         rng=rng,
         stop_when_complete=stop_when_complete,
@@ -161,14 +175,14 @@ def randomized_local_broadcast_unknown_density(
     sweep_length = levels * rounds_per_level
     max_rounds = 4 * sweep_length * levels  # repeated sweeps, O(log^2 n) overhead
 
-    def probability(uid: int, local_round: int) -> float:
+    def probability(local_round: int) -> float:
         position = (local_round - 1) % sweep_length
         level = position // rounds_per_level
         return 1.0 / float(2 ** (level + 1))
 
     return _run_probabilistic_rounds(
         sim,
-        probability_for_round=probability,
+        probability_of_round=probability,
         max_rounds=max_rounds,
         rng=rng,
         stop_when_complete=stop_when_complete,

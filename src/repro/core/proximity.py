@@ -15,10 +15,9 @@ pair as an edge:
 The filtering phase is columnar: the exchange's reception table (parallel
 ``round / sender / receiver`` arrays) is joined against the selector
 schedule's cached inverse index (node -> scheduled rounds) with one sorted
-key binary search -- a sparse matrix intersection -- instead of the
-historical candidates x rounds Python loop (preserved in
-:func:`build_proximity_graph_reference` for equivalence tests and the
-before/after benchmark).
+key binary search -- a sparse matrix intersection -- instead of a
+candidates x rounds Python loop (``tests/test_columnar_equivalence.py``
+keeps that loop as a test-side oracle and checks the join against it).
 
 Because the physics is deterministic and the confirmation phase re-executes
 the *same* schedule with the same transmitter sets, its receptions are
@@ -39,11 +38,6 @@ import numpy as np
 from ..selectors._csr import expand_slices, sorted_lookup
 from ..selectors.mis import iterated_local_minima_mis
 from ..simulation.engine import SINRSimulator
-from ..simulation.reference import (
-    ReferenceScheduleResult,
-    run_cluster_schedule_reference,
-    run_schedule_reference,
-)
 from ..simulation.schedule import ScheduleResult, run_cluster_schedule, run_schedule
 from .config import AlgorithmConfig
 from .primitives import clustered_message_factory, wcss_for, wss_for
@@ -283,109 +277,6 @@ def build_proximity_graph(
                 kept.add(w)
         graph.adjacency[v] = kept
     # Symmetrize defensively (mutual condition above already implies symmetry).
-    for v in participants:
-        for w in graph.adjacency.get(v, set()):
-            graph.adjacency.setdefault(w, set()).add(v)
-
-    graph.rounds_used = sim.current_round - start_round
-    return graph
-
-
-def build_proximity_graph_reference(
-    sim: SINRSimulator,
-    participants: Iterable[int],
-    config: AlgorithmConfig,
-    cluster_of: Optional[Mapping[int, int]] = None,
-    phase: str = "proximity",
-) -> ProximityGraph:
-    """The historical (set-and-loop) Algorithm 1, kept for equivalence tests.
-
-    Executes through the reference schedule runners and the original
-    candidates x rounds filtering loop; ``tests/test_columnar_equivalence.py``
-    asserts :func:`build_proximity_graph` matches it structure-for-structure,
-    and the schedule-pipeline benchmark times it as the "before" leg.
-    """
-    participants = set(participants)
-    graph = ProximityGraph(participants=participants)
-    if not participants:
-        return graph
-
-    id_space = sim.network.id_space
-    start_round = sim.current_round
-
-    if cluster_of is None:
-        schedule = wss_for(id_space, config)
-        schedule_length = len(schedule)
-        cluster_lookup: Dict[int, int] = {uid: 1 for uid in participants}
-        factory = clustered_message_factory("exchange", cluster_lookup)
-        exchange: ReferenceScheduleResult = run_schedule_reference(
-            sim, schedule, participants, message_factory=factory, phase=f"{phase}:exchange"
-        )
-        scheduled_rounds = {uid: set(schedule.rounds_of(uid)) for uid in participants}
-    else:
-        cluster_lookup = {uid: int(cluster_of[uid]) for uid in participants}
-        schedule = wcss_for(id_space, config)
-        schedule_length = len(schedule)
-        factory = clustered_message_factory("exchange", cluster_lookup)
-        exchange = run_cluster_schedule_reference(
-            sim,
-            schedule,
-            participants,
-            cluster_of=cluster_lookup,
-            message_factory=factory,
-            phase=f"{phase}:exchange",
-        )
-        scheduled_rounds = {
-            uid: {
-                t
-                for t in range(len(schedule))
-                if schedule.transmits_in(uid, cluster_lookup[uid], t)
-            }
-            for uid in participants
-        }
-
-    graph.schedule_length = schedule_length
-
-    candidate_cap = config.effective_candidate_cap
-    candidates: Dict[int, Set[int]] = {}
-    for v in participants:
-        events = exchange.heard_by(v)
-        relevant = [
-            e
-            for e in events
-            if e.message.cluster is None or e.message.cluster == cluster_lookup.get(v)
-        ]
-        heard_senders = []
-        for e in relevant:
-            if e.sender not in heard_senders:
-                heard_senders.append(e.sender)
-        graph.heard[v] = heard_senders
-        candidate_set = set(heard_senders)
-        heard_rounds = {e.round_index: e.sender for e in relevant}
-        for w in heard_senders:
-            for t in scheduled_rounds.get(w, ()):
-                sender_heard = heard_rounds.get(t)
-                if sender_heard is not None and sender_heard != w:
-                    candidate_set.discard(w)
-                    break
-        if len(candidate_set) > candidate_cap:
-            candidate_set = set()
-        candidates[v] = candidate_set
-    graph.candidates = candidates
-
-    confirmation_repetitions = max((len(c) for c in candidates.values()), default=0)
-    confirmation_repetitions = min(confirmation_repetitions, candidate_cap)
-    if confirmation_repetitions:
-        sim.run_silent_rounds(
-            confirmation_repetitions * schedule_length, phase=f"{phase}:confirm"
-        )
-
-    for v in participants:
-        kept: Set[int] = set()
-        for w in candidates[v]:
-            if w in candidates and v in candidates[w] and w in graph.heard.get(v, []):
-                kept.add(w)
-        graph.adjacency[v] = kept
     for v in participants:
         for w in graph.adjacency.get(v, set()):
             graph.adjacency.setdefault(w, set()).add(v)

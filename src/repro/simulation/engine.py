@@ -16,9 +16,9 @@ on the hot path.  Every round runs through one method,
 precomputed sequence of transmitter sets through the physics backend's
 ``receptions_table`` in vectorized NumPy calls.  The schedule runners
 (:mod:`repro.simulation.schedule`, and through them every deterministic
-algorithm in :mod:`repro.core`) call it directly; the per-round
-:meth:`SINRSimulator.run_round` and the list-of-sets
-:meth:`SINRSimulator.run_schedule` are thin wrappers over it.
+algorithm in :mod:`repro.core`) and the randomized baselines call it
+directly; the per-round :meth:`SINRSimulator.run_round` is a one-round
+wrapper over it.
 
 Wake-up semantics (non-spontaneous wake-up model): sleeping nodes never
 listen -- they are dropped even from an explicitly passed ``listeners``
@@ -35,7 +35,7 @@ experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -50,8 +50,8 @@ class ScheduleDeliveries:
 
     One row per successful reception: ``receiver_uids[i]`` decoded
     ``sender_uids[i]`` in schedule-relative round ``round_ids[i]``.  Rows are
-    sorted round-major.  This is what the columnar schedule runners consume;
-    :meth:`per_round_pairs` provides the legacy list-of-pairs view.
+    sorted round-major.  This is what the schedule runners and the
+    randomized baselines consume.
     """
 
     num_rounds: int
@@ -61,16 +61,6 @@ class ScheduleDeliveries:
 
     def __len__(self) -> int:
         return len(self.round_ids)
-
-    def per_round_pairs(self) -> List[List[Tuple[int, int]]]:
-        """Per-round ``(receiver uid, sender uid)`` pair lists (legacy shape)."""
-        bounds = np.searchsorted(self.round_ids, np.arange(self.num_rounds + 1))
-        receivers = self.receiver_uids.tolist()
-        senders = self.sender_uids.tolist()
-        return [
-            list(zip(receivers[bounds[t] : bounds[t + 1]], senders[bounds[t] : bounds[t + 1]]))
-            for t in range(self.num_rounds)
-        ]
 
 
 class SINRSimulator:
@@ -194,48 +184,6 @@ class SINRSimulator:
             )
         }
 
-    def run_schedule(
-        self,
-        rounds: Sequence[Iterable[int]],
-        listeners: Optional[Iterable[int]] = None,
-        phase: str = "",
-        wake_on_reception: bool = False,
-    ) -> List[List[Tuple[int, int]]]:
-        """Execute a precomputed sequence of transmitter sets as one batch.
-
-        ``rounds[t]`` holds the IDs transmitting in relative round ``t`` (an
-        empty set yields a charged-but-silent round, as in a faithful
-        execution).  The listener semantics per round are exactly those of
-        :meth:`run_round` -- same defaults, same half-duplex exclusion, same
-        sleeping/wake rules -- but the physics of all rounds is evaluated in
-        one call to the backend's ``receptions_table``, which is what makes
-        long schedule executions fast.  Batching is exact (not an
-        approximation): transmitter sets are fixed in advance and a round's
-        outcome never depends on earlier listeners' outcomes, so the batch
-        and the round-by-round loop produce identical results.
-
-        Returns, per round, the list of ``(receiver ID, sender ID)``
-        deliveries.  Messages are not threaded through this API; callers
-        attach them per sender (see :mod:`repro.simulation.schedule`).
-        """
-        norm_rounds = [list(dict.fromkeys(int(u) for u in r)) for r in rounds]
-        counts = np.fromiter((len(r) for r in norm_rounds), dtype=np.int64, count=len(norm_rounds))
-        tx_uids = (
-            np.concatenate([np.asarray(r, dtype=np.int64) for r in norm_rounds if r])
-            if counts.sum()
-            else np.empty(0, dtype=np.int64)
-        )
-        round_ids = np.repeat(np.arange(len(norm_rounds), dtype=np.int64), counts)
-        deliveries = self.run_schedule_table(
-            len(norm_rounds),
-            round_ids,
-            tx_uids,
-            listeners=listeners,
-            phase=phase,
-            wake_on_reception=wake_on_reception,
-        )
-        return deliveries.per_round_pairs()
-
     def run_schedule_table(
         self,
         num_rounds: int,
@@ -249,12 +197,15 @@ class SINRSimulator:
 
         ``tx_round_ids`` / ``tx_uids`` are parallel arrays, sorted round-major
         with no duplicate uid within a round: entry ``i`` says node
-        ``tx_uids[i]`` transmits in relative round ``tx_round_ids[i]``.  The
-        semantics (listener defaults, half-duplex, wake model, counters,
-        trace records, silent-round charging) are exactly those of
-        :meth:`run_schedule`; the difference is purely representational --
-        transmitter sets stay NumPy arrays end to end and the result is a
-        columnar :class:`ScheduleDeliveries` table.
+        ``tx_uids[i]`` transmits in relative round ``tx_round_ids[i]``.  Each
+        round follows the listener defaults, half-duplex rule and wake model
+        documented on :meth:`run_round`; counters and trace records advance
+        per round, and a round with no transmitter is charged but silent, as
+        in a faithful execution.  The physics of all rounds is evaluated in
+        one call to the backend's ``receptions_table``.  Batching is exact,
+        not an approximation: transmitter sets are fixed in advance and a
+        round's outcome never depends on earlier rounds' receptions, so the
+        batch and a round-by-round loop agree.
         """
         tx_round_ids = np.ascontiguousarray(tx_round_ids, dtype=np.int64)
         tx_uids = np.ascontiguousarray(tx_uids, dtype=np.int64)

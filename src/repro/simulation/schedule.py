@@ -14,11 +14,11 @@ per-round Python sets), hand the resulting transmitter table straight to
 :meth:`~repro.simulation.engine.SINRSimulator.run_schedule_table`, and wrap
 the columnar delivery table in a :class:`ScheduleResult`.  The result keeps
 receptions as parallel ``round / sender / receiver`` integer arrays; the
-historical dict-of-:class:`ReceptionEvent`-lists view (and the ``Message``
-objects inside it) is materialized lazily, only for listeners that are
-actually inspected.  ``tests/test_columnar_equivalence.py`` asserts the
-whole pipeline is event-for-event identical to the legacy per-round set
-implementation (kept in :mod:`repro.simulation.reference`).
+per-listener :class:`ReceptionEvent` lists (and the ``Message`` objects
+inside them) are materialized lazily, only for listeners that are actually
+inspected.  ``tests/test_columnar_equivalence.py`` checks every runner
+against transmitter sets built from the schedules' frozenset views and
+against a brute-force evaluation of Equation 1.
 
 Rounds in which no participant is scheduled are not evaluated by the physics
 backend -- nobody transmits, so nobody can receive -- but they still advance
@@ -69,16 +69,15 @@ class ScheduleResult:
     transmission table.  All accessors answer from O(1)-amortized index
     lookups over those arrays; :class:`ReceptionEvent` objects and their
     :class:`~repro.simulation.messages.Message` payloads are created lazily,
-    one sender message each, only when a set-era consumer asks for them.
+    one sender message each, only when a consumer asks for them.
     Because materialization is lazy, the message factory runs at first
     *access*, not at execution time: a factory closing over mutable state
     must snapshot it (see ``broadcast_message`` in
     :mod:`repro.core.global_broadcast`).
 
-    ``receptions[v]`` (lazy dict view) lists, in round order, every message
-    node ``v`` decoded together with the schedule-relative round index at
-    which it arrived.  ``transmitted_rounds[u]`` (lazy dict view) lists the
-    schedule-relative rounds in which participating node ``u`` transmitted.
+    :meth:`heard_by` lists, in round order, every message a node decoded
+    together with the schedule-relative round at which it arrived;
+    :meth:`transmitter_table` lists every actual transmission.
     """
 
     def __init__(
@@ -104,8 +103,6 @@ class ScheduleResult:
         self._events: Dict[int, List[ReceptionEvent]] = {}
         self._senders_by_listener: Dict[int, List[int]] = {}
         self._sender_sets: Dict[int, Set[int]] = {}
-        self._receptions_view: Optional[Dict[int, List[ReceptionEvent]]] = None
-        self._transmitted_view: Optional[Dict[int, List[int]]] = None
 
     # ------------------------------------------------------------------ #
     # Columnar accessors (what the vectorized consumers use).
@@ -204,30 +201,6 @@ class ScheduleResult:
     def exchanged(self, u: int, v: int) -> bool:
         """Whether ``u`` heard ``v`` and ``v`` heard ``u`` during the execution."""
         return v in self._heard_set(u) and u in self._heard_set(v)
-
-    @property
-    def receptions(self) -> Dict[int, List[ReceptionEvent]]:
-        """Legacy dict view ``listener -> [ReceptionEvent, ...]`` (lazy, cached)."""
-        if self._receptions_view is None:
-            self._receptions_view = {
-                int(uid): self.heard_by(int(uid)) for uid in self._listener_index()
-            }
-        return self._receptions_view
-
-    @property
-    def transmitted_rounds(self) -> Dict[int, List[int]]:
-        """Legacy dict view ``uid -> [round, ...]`` of actual transmissions."""
-        if self._transmitted_view is None:
-            order = np.argsort(self._tx_uids, kind="stable")
-            sorted_uids = self._tx_uids[order]
-            uids, starts = np.unique(sorted_uids, return_index=True)
-            bounds = np.append(starts, len(sorted_uids))
-            rounds = self._tx_round_ids[order]
-            self._transmitted_view = {
-                int(uid): rounds[bounds[i] : bounds[i + 1]].tolist()
-                for i, uid in enumerate(uids)
-            }
-        return self._transmitted_view
 
 
 def _from_deliveries(

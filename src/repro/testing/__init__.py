@@ -15,6 +15,10 @@ has been installed:
   :class:`~repro.service.SimulationService` that blocking test and
   benchmark code can drive with plain HTTP clients.
 
+* :mod:`repro.testing.oracle` -- :func:`oracle_events`, a brute-force
+  evaluation of Equation 1 that the backend and schedule-runner tests
+  check reception tables against.
+
 See ``docs/guide/reliability.md`` for usage and ``tests/test_faults.py``
 for the stress suite that drives grids through every failure mode.
 """

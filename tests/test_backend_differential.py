@@ -16,7 +16,8 @@ Structure:
 * a backend zoo (dense, lazy, spatial with its round cap set to K in
   {1, 7, 64} on the instance, at its default limits, and with its cost
   rule forced onto the certificate ladder);
-* a float64 loop oracle stating Equation 1 directly, checked against
+* a float64 loop oracle stating Equation 1 directly
+  (:func:`repro.testing.oracle.oracle_events`), checked against
   ``receptions_table`` and ``receptions`` of every backend (dense and lazy
   share one evaluation routine, so comparing them with each other alone
   would not check it);
@@ -59,8 +60,8 @@ from repro.sinr.backends import (
     SpatialGridBackend,
 )
 from repro.sinr.backends import _kernels
-from repro.sinr.backends.base import COLOCATED_GAIN
 from repro.sinr.model import NUMERIC_TOLERANCE, SINRParameters
+from repro.testing.oracle import oracle_events
 
 PARAMS = SINRParameters.default()
 
@@ -183,37 +184,8 @@ def assert_tables_bit_identical(a, b):
 
 
 # --------------------------------------------------------------------- #
-# Brute-force Equation 1 oracle.
+# Brute-force Equation 1 oracle (repro.testing.oracle).
 # --------------------------------------------------------------------- #
-
-
-def oracle_events(positions, indptr, members, listeners=None):
-    """Equation 1 by brute force: float64 loops over listener x transmitter.
-
-    Listener ``v`` decodes transmitter ``u`` in a round iff ``v`` does not
-    transmit in it (half-duplex) and ``P d(u,v)^-alpha / (N + sum over the
-    round's other transmitters w of P d(w,v)^-alpha) >= beta`` (within the
-    shared ``NUMERIC_TOLERANCE``).  Returns ``(round, receiver, sender,
-    sinr)`` tuples, round-major, receivers in listener order.
-    """
-    def gain(u, v):
-        d = math.dist(positions[u], positions[v])
-        return COLOCATED_GAIN if d == 0.0 else PARAMS.power / d ** PARAMS.alpha
-
-    pool = range(len(positions)) if listeners is None else dict.fromkeys(
-        int(v) for v in listeners)
-    events = []
-    for t in range(len(indptr) - 1):
-        tx = [int(u) for u in members[indptr[t]:indptr[t + 1]]]
-        for v in pool:
-            if v in tx:
-                continue
-            for u in tx:
-                noise_plus = PARAMS.noise + math.fsum(gain(w, v) for w in tx if w != u)
-                sinr = gain(u, v) / noise_plus
-                if sinr >= PARAMS.beta - NUMERIC_TOLERANCE:
-                    events.append((t, v, u, sinr))
-    return events
 
 
 def assert_matches_oracle(table, events, indptr, members):
@@ -235,7 +207,7 @@ class TestEquationOneOracle:
         positions = random_positions(5, n)
         indptr, members = schedule_csr(family, n, 5)
         listeners = np.array([7, 3, 3, 20, 0, 11, 16]) if restricted else None
-        events = oracle_events(positions, indptr, members, listeners)
+        events = oracle_events(positions, indptr, members, PARAMS, listeners)
         assert events, "vacuous: the oracle delivered nothing"
         zoo = backend_zoo(positions)
         for name in ORACLE_BACKENDS:

@@ -6,7 +6,7 @@ The load-bearing guarantees:
   ``receptions()`` on random deployments (property test);
 * a multi-round ``receptions_table`` matches round-by-round
   ``receptions`` for both backends (property test);
-* the batched simulator path (``SINRSimulator.run_schedule``) is equivalent
+* the batched simulator path (``SINRSimulator.run_schedule_table``) is equivalent
   to a round-by-round execution, counters and wake state included;
 * backend selection threads through ``WirelessNetwork``, the deployment
   generators and the CLI.
@@ -55,6 +55,28 @@ def csr_schedule(schedule):
     np.cumsum([len(r) for r in schedule], out=indptr[1:])
     members = np.array([int(t) for r in schedule for t in r], dtype=np.int64)
     return indptr, members
+
+
+def run_rounds(sim, rounds, **kwargs):
+    """Run per-round transmitter uid lists as one ``run_schedule_table`` call.
+
+    Returns, per round, the ``(receiver uid, sender uid)`` deliveries.
+    """
+    counts = [len(r) for r in rounds]
+    deliveries = sim.run_schedule_table(
+        len(rounds),
+        np.repeat(np.arange(len(rounds), dtype=np.int64), counts),
+        np.array([uid for r in rounds for uid in r], dtype=np.int64),
+        **kwargs,
+    )
+    pairs = [[] for _ in rounds]
+    for t, receiver, sender in zip(
+        deliveries.round_ids.tolist(),
+        deliveries.receiver_uids.tolist(),
+        deliveries.sender_uids.tolist(),
+    ):
+        pairs[t].append((receiver, sender))
+    return pairs
 
 
 def table_rounds(table):
@@ -250,7 +272,7 @@ class TestSimulatorBatchPath:
         ]
         batch_sim = SINRSimulator(network_a)
         loop_sim = SINRSimulator(network_b)
-        batched = batch_sim.run_schedule(rounds, phase="x")
+        batched = run_rounds(batch_sim, rounds, phase="x")
         for tx_uids, batched_round in zip(rounds, batched):
             delivered = loop_sim.run_round(
                 {uid: Message(sender=uid, tag="x") for uid in tx_uids}, phase="x"
@@ -267,8 +289,8 @@ class TestSimulatorBatchPath:
         sim = SINRSimulator(network)
         source = network.uids[0]
         sim.put_all_to_sleep(except_for=[source])
-        deliveries = sim.run_schedule(
-            [[source]], listeners=network.uids, wake_on_reception=True
+        deliveries = run_rounds(
+            sim, [[source]], listeners=network.uids, wake_on_reception=True
         )
         woken = {receiver for receiver, _ in deliveries[0]}
         assert woken
@@ -280,13 +302,13 @@ class TestSimulatorBatchPath:
         sim = SINRSimulator(network)
         source = network.uids[0]
         sim.put_all_to_sleep(except_for=[source])
-        deliveries = sim.run_schedule([[source]], listeners=network.uids)
+        deliveries = run_rounds(sim, [[source]], listeners=network.uids)
         assert deliveries == [[]]
 
     def test_run_schedule_charges_silent_rounds(self):
         network = deployment.line(3)
         sim = SINRSimulator(network, record_trace=True)
-        sim.run_schedule([[], [network.uids[0]], [], []], phase="s")
+        run_rounds(sim, [[], [network.uids[0]], [], []], phase="s")
         assert sim.current_round == 4
         records = sim.trace.records
         assert records[0].skipped == 1

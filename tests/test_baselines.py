@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.baselines import (
@@ -56,6 +58,54 @@ class TestRandomizedLocal:
         )
         assert result.completed_round is None
         assert result.rounds_used > 0
+
+
+def _delivered_digest(result) -> str:
+    pairs = sorted((s, r) for s, receivers in result.delivered.items() for r in receivers)
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+class TestRandomizedLocalGolden:
+    """Pinned outcomes of the chunked randomized local broadcast.
+
+    The coin flips, the 32-round chunks and the per-round completion check
+    fix ``rounds_used``, ``completed_round``, the simulator's round counter
+    (which runs to the end of the completing chunk) and every delivered
+    pair.  The ``no-stop`` runs end on a partial chunk.  Any change to the
+    RNG stream, the chunk boundaries or the reception path shows up here.
+    """
+
+    CASES = {
+        "complete": (lambda: deployment.uniform_random(24, area_side=2.2, seed=23), dict(seed=1)),
+        "no-stop": (
+            lambda: deployment.uniform_random(40, area_side=3.0, seed=5),
+            dict(seed=3, stop_when_complete=False, rounds_factor=1.0),
+        ),
+    }
+    EXPECTED = [
+        (randomized_local_broadcast_known_density, "complete", 174, 174, 192,
+         "e2cb2db2027ced023486a619d8063b10297dbbef2e54bbad7a54042bfbac6001"),
+        (randomized_local_broadcast_known_density, "no-stop", 80, None, 80,
+         "42b6360f21a276e972efea86f69446370316c7e2870c038e1792f6e5e7fcb75b"),
+        (randomized_local_broadcast_unknown_density, "complete", 423, 423, 448,
+         "5ef7adce16d938994184c59895079b723ac7c34a90eb56af78bb97034ad3f7d1"),
+        (randomized_local_broadcast_unknown_density, "no-stop", 576, None, 576,
+         "6daaaf7c7f63ebc5b9280973e9864a94dce1714c311f8ede822c60f1a4ceb7a8"),
+    ]
+
+    @pytest.mark.parametrize(
+        "algorithm, case, rounds_used, completed_round, sim_rounds, digest",
+        EXPECTED,
+        ids=[f"{e[0].__name__.rsplit('_', 2)[-2]}-{e[1]}" for e in EXPECTED],
+    )
+    def test_pinned_outcome(self, algorithm, case, rounds_used, completed_round, sim_rounds, digest):
+        make_network, kwargs = self.CASES[case]
+        sim = SINRSimulator(make_network())
+        result = algorithm(sim, **kwargs)
+        assert result.rounds_used == rounds_used
+        assert result.completed_round == completed_round
+        assert sim.current_round == sim_rounds
+        assert _delivered_digest(result) == digest
 
 
 class TestTDMA:

@@ -1,15 +1,19 @@
-"""Property tests: the columnar schedule pipeline is event-for-event
-identical to the legacy set-based path (kept in repro.simulation.reference).
+"""Property tests: the columnar schedule pipeline against independent
+oracles.
 
-Every layer introduced by the columnar rework is pinned against its
-reference implementation on randomized deployments:
+Every layer of the columnar pipeline is pinned against a check that shares
+none of its code:
 
 * CSR schedules vs their frozenset views (membership, inverse index,
   restriction / repetition / concatenation algebra);
-* columnar runners vs the reference runners (receptions, messages,
-  transmitted rounds, derived accessors);
-* the vectorized proximity-graph filtering vs the original candidates x
-  rounds loop.
+* the columnar runners vs plain set logic over the schedules' frozenset
+  views for who transmits, and the brute-force Equation 1 oracle
+  (:func:`repro.testing.oracle.oracle_events`) for who decodes whom --
+  event tables, messages, transmitter tables, round and message counters,
+  and wake state;
+* the vectorized proximity-graph filtering vs Algorithm 1's candidates x
+  rounds loop, kept here as a short test-side oracle over the exchange's
+  reception events.
 """
 
 from __future__ import annotations
@@ -20,40 +24,79 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AlgorithmConfig
-from repro.core.proximity import build_proximity_graph, build_proximity_graph_reference
+from repro.core.primitives import clustered_message_factory, wcss_for, wss_for
+from repro.core.proximity import build_proximity_graph
 from repro.selectors.ssf import TransmissionSchedule, greedy_random_ssf, prime_residue_ssf
-from repro.selectors.wcss import ClusterAwareSchedule, random_wcss
+from repro.selectors.wcss import random_wcss
 from repro.selectors.wss import random_wss
 from repro.simulation.engine import SINRSimulator
 from repro.simulation.messages import Message
-from repro.simulation.reference import (
-    run_cluster_schedule_reference,
-    run_round_robin_reference,
-    run_schedule_reference,
+from repro.simulation.schedule import (
+    ReceptionEvent,
+    run_cluster_schedule,
+    run_round_robin,
+    run_schedule,
 )
-from repro.simulation.schedule import run_cluster_schedule, run_round_robin, run_schedule
 from repro.sinr import deployment
+from repro.testing.oracle import oracle_events
 
 
-def twin_sims(n: int, seed: int):
-    """Two independent simulators over the *same* random deployment."""
-    return (
-        SINRSimulator(deployment.uniform_random(n, area_side=2.5, seed=seed)),
-        SINRSimulator(deployment.uniform_random(n, area_side=2.5, seed=seed)),
-    )
+def make_sim(n: int, seed: int) -> SINRSimulator:
+    return SINRSimulator(deployment.uniform_random(n, area_side=2.5, seed=seed))
 
 
-def assert_results_identical(columnar, reference, uids):
-    """Event-for-event equality of a columnar result against a reference one."""
-    assert columnar.length == reference.length
-    assert columnar.receptions == reference.receptions
-    assert columnar.transmitted_rounds == reference.transmitted_rounds
-    for uid in uids:
-        assert columnar.heard_by(uid) == reference.heard_by(uid)
-        assert columnar.senders_heard_by(uid) == reference.senders_heard_by(uid)
-    for u in uids[:6]:
-        for v in uids[:6]:
-            assert columnar.exchanged(u, v) == reference.exchanged(u, v)
+def expected_events(network, round_sets, listeners=None):
+    """Oracle ``(round, sender uid, receiver uid)`` events of per-round uid sets."""
+    indptr, members = [0], []
+    for transmitters in round_sets:
+        members.extend(network.index_of(uid) for uid in sorted(transmitters))
+        indptr.append(len(members))
+    pool = None if listeners is None else [network.index_of(uid) for uid in listeners]
+    uids = network.uid_array
+    return [
+        (t, int(uids[sender]), int(uids[receiver]))
+        for t, receiver, sender, _ in oracle_events(
+            network.positions, indptr, members, network.params, pool
+        )
+    ]
+
+
+def assert_run_matches_oracle(sim, result, round_sets, factory, listeners=None, awake_before=None):
+    """A runner's result and the simulator's state against the oracles.
+
+    ``round_sets[t]`` is the transmitter set round ``t`` must have, built
+    with set logic by the caller; ``sim`` ran nothing else.
+    ``awake_before`` is who was awake before the run (default: everyone);
+    afterwards exactly they and every receiver must be awake.
+    """
+    network = sim.network
+    events = expected_events(network, round_sets, listeners)
+
+    rounds, senders, receivers = result.event_table()
+    assert list(zip(rounds.tolist(), senders.tolist(), receivers.tolist())) == events
+    tx_rounds, tx_uids = result.transmitter_table()
+    assert np.all(np.diff(tx_rounds) >= 0)
+    assert sorted(zip(tx_rounds.tolist(), tx_uids.tolist())) == [
+        (t, uid) for t, transmitters in enumerate(round_sets) for uid in sorted(transmitters)
+    ]
+    heard = {uid: [] for uid in network.uids}
+    for t, sender, receiver in events:
+        heard[receiver].append(ReceptionEvent(round_index=t, sender=sender, message=factory(sender)))
+    for uid in network.uids:
+        assert result.heard_by(uid) == heard[uid]
+        assert result.senders_heard_by(uid) == list(dict.fromkeys(e.sender for e in heard[uid]))
+    for u in network.uids[:6]:
+        for v in network.uids[:6]:
+            assert result.exchanged(u, v) == (
+                v in result.senders_heard_by(u) and u in result.senders_heard_by(v)
+            )
+
+    assert result.length == len(round_sets)
+    assert sim.current_round == len(round_sets)
+    assert sim.messages_sent == sum(len(transmitters) for transmitters in round_sets)
+    assert sim.messages_delivered == len(events)
+    awake = set(network.uids) if awake_before is None else set(awake_before)
+    assert set(sim.awake_nodes()) == awake | {receiver for _, _, receiver in events}
 
 
 class TestScheduleAlgebraEquivalence:
@@ -110,17 +153,14 @@ class TestRunnerEquivalence:
     )
     @settings(max_examples=20, deadline=None)
     def test_run_schedule_matches_reference(self, seed, n, k):
-        col_sim, ref_sim = twin_sims(n, seed)
-        uids = col_sim.network.uids
-        schedule = random_wss(col_sim.network.id_space, k, seed=seed, length=30)
+        sim = make_sim(n, seed)
+        uids = sim.network.uids
+        schedule = random_wss(sim.network.id_space, k, seed=seed, length=30)
         rng = np.random.default_rng(seed + 1)
         participants = [uid for uid in uids if rng.random() < 0.7] or uids[:1]
-        columnar = run_schedule(col_sim, schedule, participants, phase="x")
-        reference = run_schedule_reference(ref_sim, schedule, participants, phase="x")
-        assert_results_identical(columnar, reference, uids)
-        assert col_sim.current_round == ref_sim.current_round
-        assert col_sim.messages_sent == ref_sim.messages_sent
-        assert col_sim.messages_delivered == ref_sim.messages_delivered
+        result = run_schedule(sim, schedule, participants, phase="x")
+        round_sets = [set(participants) & allowed for allowed in schedule.rounds]
+        assert_run_matches_oracle(sim, result, round_sets, lambda uid: Message(sender=uid, tag="x"))
 
     @given(
         seed=st.integers(min_value=0, max_value=300),
@@ -128,19 +168,20 @@ class TestRunnerEquivalence:
     )
     @settings(max_examples=20, deadline=None)
     def test_run_cluster_schedule_matches_reference(self, seed, n):
-        col_sim, ref_sim = twin_sims(n, seed)
-        uids = col_sim.network.uids
-        schedule = random_wcss(col_sim.network.id_space, 3, 2, seed=seed, length=30)
+        sim = make_sim(n, seed)
+        uids = sim.network.uids
+        schedule = random_wcss(sim.network.id_space, 3, 2, seed=seed, length=30)
         rng = np.random.default_rng(seed + 2)
         cluster_of = {uid: int(rng.integers(1, 4)) for uid in uids}
         factory = lambda uid: Message(sender=uid, tag="c", cluster=cluster_of.get(uid))
-        columnar = run_cluster_schedule(
-            col_sim, schedule, uids, cluster_of=cluster_of, message_factory=factory
+        result = run_cluster_schedule(
+            sim, schedule, uids, cluster_of=cluster_of, message_factory=factory
         )
-        reference = run_cluster_schedule_reference(
-            ref_sim, schedule, uids, cluster_of=cluster_of, message_factory=factory
-        )
-        assert_results_identical(columnar, reference, uids)
+        round_sets = [
+            {uid for uid in set(uids) & nodes if cluster_of[uid] in clusters}
+            for nodes, clusters in zip(schedule.node_rounds, schedule.cluster_rounds)
+        ]
+        assert_run_matches_oracle(sim, result, round_sets, factory)
 
     @given(
         seed=st.integers(min_value=0, max_value=200),
@@ -148,44 +189,102 @@ class TestRunnerEquivalence:
     )
     @settings(max_examples=15, deadline=None)
     def test_run_round_robin_matches_reference(self, seed, n):
-        col_sim, ref_sim = twin_sims(n, seed)
-        uids = col_sim.network.uids
-        columnar = run_round_robin(col_sim, uids)
-        reference = run_round_robin_reference(ref_sim, uids)
-        assert_results_identical(columnar, reference, uids)
+        sim = make_sim(n, seed)
+        uids = sim.network.uids
+        result = run_round_robin(sim, list(reversed(uids)))
+        round_sets = [{uid} for uid in sorted(uids)]
+        assert_run_matches_oracle(
+            sim, result, round_sets, lambda uid: Message(sender=uid, tag="round-robin")
+        )
 
     def test_wake_on_reception_matches_reference(self):
-        col_sim, ref_sim = twin_sims(8, 5)
-        uids = col_sim.network.uids
+        sim = make_sim(8, 5)
+        uids = sim.network.uids
         source = uids[0]
-        for sim in (col_sim, ref_sim):
-            sim.put_all_to_sleep(except_for=[source])
-        schedule = random_wss(col_sim.network.id_space, 2, seed=1, length=10)
-        columnar = run_schedule(
-            col_sim, schedule, [source], listeners=uids, wake_on_reception=True
+        sim.put_all_to_sleep(except_for=[source])
+        schedule = random_wss(sim.network.id_space, 2, seed=1, length=10)
+        result = run_schedule(sim, schedule, [source], listeners=uids, wake_on_reception=True)
+        round_sets = [{source} & allowed for allowed in schedule.rounds]
+        assert_run_matches_oracle(
+            sim,
+            result,
+            round_sets,
+            lambda uid: Message(sender=uid, tag="schedule"),
+            listeners=uids,
+            awake_before={source},
         )
-        reference = run_schedule_reference(
-            ref_sim, schedule, [source], listeners=uids, wake_on_reception=True
+        assert len(sim.awake_nodes()) > 1, "vacuous: nobody was woken"
+
+
+def algorithm1_reference(sim, participants, config, cluster_of=None, phase="proximity"):
+    """Algorithm 1's filtering and confirmation as a candidates x rounds loop.
+
+    Runs the exchange through the (oracle-checked) runners, then applies the
+    paper's rule literally: ``v`` drops a heard candidate ``w`` if it heard
+    another same-cluster node in a round in which ``w`` was scheduled, and
+    drops all candidates past the cap; an edge needs both endpoints to keep
+    each other.  Returns ``(heard, candidates, adjacency, rounds_used,
+    schedule_length)``.
+    """
+    participants = set(participants)
+    start = sim.current_round
+    id_space = sim.network.id_space
+    cluster = {uid: 1 if cluster_of is None else int(cluster_of[uid]) for uid in participants}
+    factory = clustered_message_factory("exchange", cluster)
+    if cluster_of is None:
+        schedule = wss_for(id_space, config)
+        exchange = run_schedule(
+            sim, schedule, participants, message_factory=factory, phase=f"{phase}:exchange"
         )
-        assert columnar.receptions == reference.receptions
-        assert sorted(col_sim.awake_nodes()) == sorted(ref_sim.awake_nodes())
+        scheduled = {uid: {t for t, r in enumerate(schedule.rounds) if uid in r} for uid in participants}
+    else:
+        schedule = wcss_for(id_space, config)
+        exchange = run_cluster_schedule(
+            sim, schedule, participants, cluster_of=cluster, message_factory=factory,
+            phase=f"{phase}:exchange",
+        )
+        scheduled = {
+            uid: {
+                t
+                for t, (nodes, clusters) in enumerate(zip(schedule.node_rounds, schedule.cluster_rounds))
+                if uid in nodes and cluster[uid] in clusters
+            }
+            for uid in participants
+        }
+    cap = config.effective_candidate_cap
+    heard, candidates = {}, {}
+    for v in participants:
+        relevant = [e for e in exchange.heard_by(v) if e.message.cluster == cluster[v]]
+        heard[v] = list(dict.fromkeys(e.sender for e in relevant))
+        sender_in_round = {e.round_index: e.sender for e in relevant}
+        kept = {
+            w for w in heard[v] if all(sender_in_round.get(t, w) == w for t in scheduled[w])
+        }
+        candidates[v] = kept if len(kept) <= cap else set()
+    adjacency = {v: {w for w in candidates[v] if v in candidates[w]} for v in participants}
+    confirmations = min(max((len(c) for c in candidates.values()), default=0), cap)
+    rounds_used = sim.current_round - start + confirmations * len(schedule)
+    return heard, candidates, adjacency, rounds_used, len(schedule)
 
 
 class TestProximityEquivalence:
+    """``build_proximity_graph`` against :func:`algorithm1_reference`."""
+
     @pytest.mark.parametrize("seed", [1, 7, 23, 91])
     def test_unclustered_graph_matches_reference(self, seed):
         config = AlgorithmConfig.fast()
         network_a = deployment.dense_ball(20, radius=0.45, seed=seed)
         network_b = deployment.dense_ball(20, radius=0.45, seed=seed)
-        columnar = build_proximity_graph(SINRSimulator(network_a), network_a.uids, config)
-        reference = build_proximity_graph_reference(
+        graph = build_proximity_graph(SINRSimulator(network_a), network_a.uids, config)
+        heard, candidates, adjacency, rounds_used, length = algorithm1_reference(
             SINRSimulator(network_b), network_b.uids, config
         )
-        assert columnar.adjacency == reference.adjacency
-        assert columnar.heard == reference.heard
-        assert columnar.candidates == reference.candidates
-        assert columnar.rounds_used == reference.rounds_used
-        assert columnar.schedule_length == reference.schedule_length
+        assert any(adjacency.values()), "vacuous: the reference kept no edge"
+        assert graph.adjacency == adjacency
+        assert graph.heard == heard
+        assert graph.candidates == candidates
+        assert graph.rounds_used == rounds_used
+        assert graph.schedule_length == length
 
     @pytest.mark.parametrize("seed", [3, 11, 42])
     def test_clustered_graph_matches_reference(self, seed):
@@ -194,16 +293,18 @@ class TestProximityEquivalence:
         network_a = deployment.dense_ball(16, radius=0.4, seed=seed)
         network_b = deployment.dense_ball(16, radius=0.4, seed=seed)
         cluster_of = {uid: int(rng.integers(1, 4)) for uid in network_a.uids}
-        columnar = build_proximity_graph(
+        graph = build_proximity_graph(
             SINRSimulator(network_a), network_a.uids, config, cluster_of=cluster_of
         )
-        reference = build_proximity_graph_reference(
+        heard, candidates, adjacency, rounds_used, length = algorithm1_reference(
             SINRSimulator(network_b), network_b.uids, config, cluster_of=cluster_of
         )
-        assert columnar.adjacency == reference.adjacency
-        assert columnar.heard == reference.heard
-        assert columnar.candidates == reference.candidates
-        assert columnar.rounds_used == reference.rounds_used
+        assert any(adjacency.values()), "vacuous: the reference kept no edge"
+        assert graph.adjacency == adjacency
+        assert graph.heard == heard
+        assert graph.candidates == candidates
+        assert graph.rounds_used == rounds_used
+        assert graph.schedule_length == length
 
 
 class TestListenerPoolNormalization:
@@ -215,7 +316,14 @@ class TestListenerPoolNormalization:
         sim = SINRSimulator(network)
         rng = np.random.default_rng(1)
         rounds = [[u for u in network.uids if rng.random() < 0.4] for _ in range(10)]
-        return rounds, [sorted(r) for r in sim.run_schedule(rounds, listeners=listeners)]
+        schedule = TransmissionSchedule(
+            id_space=network.id_space, rounds=tuple(frozenset(r) for r in rounds)
+        )
+        result = run_schedule(sim, schedule, network.uids, listeners=listeners)
+        per_round = [[] for _ in rounds]
+        for t, sender, receiver in zip(*(column.tolist() for column in result.event_table())):
+            per_round[t].append((receiver, sender))
+        return rounds, [sorted(r) for r in per_round]
 
     def test_permuted_listener_pool_matches_natural_order(self):
         network = deployment.uniform_random(12, area_side=2.5, seed=4)
@@ -235,7 +343,7 @@ class TestListenerPoolNormalization:
 
 class TestColumnarAccessors:
     def test_event_table_round_major_and_consistent_with_events(self):
-        sim, _ = twin_sims(10, 2)
+        sim = make_sim(10, 2)
         uids = sim.network.uids
         schedule = random_wss(sim.network.id_space, 2, seed=3, length=20)
         result = run_schedule(sim, schedule, uids)
@@ -250,7 +358,7 @@ class TestColumnarAccessors:
             assert [e.sender for e in events] == senders[mask].tolist()
 
     def test_first_receptions_match_heard_by(self):
-        sim, _ = twin_sims(12, 9)
+        sim = make_sim(12, 9)
         uids = sim.network.uids
         result = run_round_robin(sim, uids)
         receivers, senders, rounds = result.first_receptions()

@@ -112,7 +112,8 @@ class TestScheduleRunnerListeners:
             sim, schedule, participants=[network.uids[0]], listeners=[network.uids[2]]
         )
         # The only allowed listener is two hops away, so nothing is received.
-        assert result.receptions == {}
+        assert len(result.event_table()[0]) == 0
+        assert all(result.heard_by(uid) == [] for uid in network.uids)
 
     def test_message_objects_are_passed_through(self):
         network = deployment.line(2)

@@ -36,7 +36,9 @@ class TestRunSchedule:
         sim = SINRSimulator(network)
         schedule = round_robin_schedule(network.id_space)
         result = run_schedule(sim, schedule, participants=[2])
-        assert set(result.transmitted_rounds) == {2}
+        tx_rounds, tx_uids = result.transmitter_table()
+        assert tx_uids.tolist() == [2]
+        assert tx_rounds.tolist() == [t for t, r in enumerate(schedule.rounds) if 2 in r]
 
     def test_empty_rounds_are_charged_but_not_evaluated(self):
         network = path_network(3)
@@ -81,8 +83,8 @@ class TestRunClusterSchedule:
         )
         cluster_of = {1: 7, 2: 8}
         result = run_cluster_schedule(sim, schedule, [1, 2], cluster_of=cluster_of)
-        assert result.transmitted_rounds[1] == [0]
-        assert result.transmitted_rounds[2] == [1]
+        tx_rounds, tx_uids = result.transmitter_table()
+        assert list(zip(tx_rounds.tolist(), tx_uids.tolist())) == [(0, 1), (1, 2)]
         assert sim.current_round == 2
 
     def test_messages_carry_cluster_by_default_factory(self):
@@ -109,8 +111,8 @@ class TestRunRoundRobin:
         sim = SINRSimulator(network)
         result = run_round_robin(sim, [3, 1])
         assert sim.current_round == 2
-        assert result.transmitted_rounds[1] == [0]
-        assert result.transmitted_rounds[3] == [1]
+        tx_rounds, tx_uids = result.transmitter_table()
+        assert list(zip(tx_rounds.tolist(), tx_uids.tolist())) == [(0, 1), (1, 3)]
 
 
 class TestColumnarResultViews:
@@ -118,11 +120,15 @@ class TestColumnarResultViews:
         network = path_network(4)
         sim = SINRSimulator(network)
         result = run_schedule(sim, round_robin_schedule(network.id_space), network.uids)
-        view = result.receptions
+        rounds, senders, receivers = result.event_table()
+        assert len(rounds)
         for uid in network.uids:
-            assert view.get(uid, []) == result.heard_by(uid)
-        # Listeners that heard nothing are simply absent from the dict view.
-        assert all(events for events in view.values())
+            mask = receivers == uid
+            assert [(e.round_index, e.sender) for e in result.heard_by(uid)] == list(
+                zip(rounds[mask].tolist(), senders[mask].tolist())
+            )
+        # A listener that heard nothing gets an empty list.
+        assert result.heard_by(network.id_space + 1) == []
 
     def test_messages_are_shared_per_sender(self):
         network = path_network(3)
@@ -142,11 +148,12 @@ class TestColumnarResultViews:
     def test_transmitter_table_matches_transmitted_rounds(self):
         network = path_network(4)
         sim = SINRSimulator(network)
-        result = run_schedule(sim, round_robin_schedule(network.id_space), [2, 4])
+        schedule = round_robin_schedule(network.id_space)
+        result = run_schedule(sim, schedule, [2, 4])
         tx_rounds, tx_uids = result.transmitter_table()
-        assert sorted(zip(tx_uids.tolist(), tx_rounds.tolist())) == sorted(
-            (uid, t) for uid, rounds in result.transmitted_rounds.items() for t in rounds
-        )
+        assert list(zip(tx_rounds.tolist(), tx_uids.tolist())) == [
+            (t, uid) for t, allowed in enumerate(schedule.rounds) for uid in sorted(allowed & {2, 4})
+        ]
 
 
 class TestProtocolDriver:

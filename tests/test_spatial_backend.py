@@ -78,11 +78,25 @@ def assert_tables_equal(a, b, rel=1e-9):
     np.testing.assert_allclose(a.sinr, b.sinr, rtol=rel)
 
 
-def both_backends(positions, **spatial_kwargs):
+def both_backends(positions, ladder=False):
+    """Dense and spatial backends over the same placement.
+
+    Small placements make the spatial cost rule pick exact-first for almost
+    every batch; ``ladder`` forces the certificate ladder on the instance
+    (``_EXACT_FIRST_RATIO = 0``) so the comparison covers it too.
+    """
     positions = np.asarray(positions, dtype=float)
     dense = DenseMatrixBackend(positions.copy(), PARAMS)
-    spatial = SpatialGridBackend(positions.copy(), PARAMS, **spatial_kwargs)
+    spatial = SpatialGridBackend(positions.copy(), PARAMS)
+    if ladder:
+        spatial._EXACT_FIRST_RATIO = 0.0
     return dense, spatial
+
+
+def assert_leg_taken(spatial, ladder):
+    """A forced-ladder leg must not have sent any batch exact-first."""
+    if ladder:
+        assert spatial.grid_info()["batches_exact_first"] == 0
 
 
 class TestSpatialDenseEquivalence:
@@ -91,57 +105,64 @@ class TestSpatialDenseEquivalence:
         n=st.integers(min_value=2, max_value=24),
         tx_seed=st.integers(min_value=0, max_value=1_000),
         side=st.sampled_from([1.5, 3.0, 8.0]),
+        ladder=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_receptions_identical_on_random_deployments(self, seed, n, tx_seed, side):
+    def test_receptions_identical_on_random_deployments(self, seed, n, tx_seed, side, ladder):
         positions = random_positions(seed, n, side)
-        dense, spatial = both_backends(positions)
+        dense, spatial = both_backends(positions, ladder)
         rng = np.random.default_rng(tx_seed)
         transmitters = list(np.flatnonzero(rng.random(n) < 0.4))
         assert_receptions_close(
             dense.receptions(transmitters), spatial.receptions(transmitters)
         )
+        assert_leg_taken(spatial, ladder)
 
-    @given(positions=positions_strategy(), tx_seed=st.integers(0, 500))
+    @given(positions=positions_strategy(), tx_seed=st.integers(0, 500), ladder=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_receptions_identical_on_grid_snapped_placements(self, positions, tx_seed):
+    def test_receptions_identical_on_grid_snapped_placements(self, positions, tx_seed, ladder):
         """Cell-boundary coordinates and co-located pairs, the grid edge cases."""
-        dense, spatial = both_backends(positions)
+        dense, spatial = both_backends(positions, ladder)
         rng = np.random.default_rng(tx_seed)
         transmitters = list(np.flatnonzero(rng.random(len(positions)) < 0.4))
         assert_receptions_close(
             dense.receptions(transmitters), spatial.receptions(transmitters)
         )
+        assert_leg_taken(spatial, ladder)
 
     @given(
         seed=st.integers(min_value=0, max_value=500),
         n=st.integers(min_value=2, max_value=16),
+        ladder=st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_receptions_identical_with_restricted_listeners(self, seed, n):
+    def test_receptions_identical_with_restricted_listeners(self, seed, n, ladder):
         positions = random_positions(seed, n)
-        dense, spatial = both_backends(positions)
+        dense, spatial = both_backends(positions, ladder)
         transmitters = list(range(0, n, 2))
         listeners = list(range(1, n, 2))
         assert_receptions_close(
             dense.receptions(transmitters, listeners),
             spatial.receptions(transmitters, listeners),
         )
+        assert_leg_taken(spatial, ladder)
 
     @given(
         seed=st.integers(min_value=0, max_value=500),
         n=st.integers(min_value=2, max_value=20),
         rounds=st.integers(min_value=1, max_value=10),
+        ladder=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_schedule_table_matches_dense(self, seed, n, rounds):
+    def test_schedule_table_matches_dense(self, seed, n, rounds, ladder):
         positions = random_positions(seed, n)
-        dense, spatial = both_backends(positions)
+        dense, spatial = both_backends(positions, ladder)
         indptr, members = random_schedule(n, seed + 1, rounds)
         assert_tables_equal(
             dense.receptions_table(indptr, members),
             spatial.receptions_table(indptr, members),
         )
+        assert_leg_taken(spatial, ladder)
 
     def test_batch_respects_listener_restriction(self):
         positions = random_positions(5, 14)
