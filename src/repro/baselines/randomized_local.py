@@ -80,7 +80,8 @@ def _run_probabilistic_rounds(
     round, in uid order: the exact RNG stream a round-by-round execution
     would draw) and evaluated in blocks of ``_CHUNK_ROUNDS`` rounds via
     :meth:`SINRSimulator.run_schedule_table`.  The completion check runs
-    after every round of a block; deliveries after the completion round are
+    after every round of a block, on a running count of undelivered
+    (node, neighbour) pairs; deliveries after the completion round are
     discarded and ``completed_round`` / ``rounds_used`` keep the exact
     round-by-round semantics (the simulator's global counter runs to the
     end of the completing block, the price of batching).
@@ -89,6 +90,8 @@ def _run_probabilistic_rounds(
     uids = list(network.uids)
     uid_array = np.asarray(uids, dtype=np.int64)
     required = {uid: set(network.neighbors(uid)) for uid in uids}
+    # (node, neighbour) pairs not yet delivered: the run is complete at 0.
+    missing = sum(len(nbrs) for nbrs in required.values())
     result = RandomizedLocalBroadcastResult(delivered={uid: set() for uid in uids})
     start_round = sim.current_round
 
@@ -111,10 +114,13 @@ def _run_probabilistic_rounds(
         senders = deliveries.sender_uids.tolist()
         for offset in range(num_rounds):
             for i in range(bounds[offset], bounds[offset + 1]):
-                result.delivered[senders[i]].add(receivers[i])
-            if stop_when_complete and all(
-                required[uid] <= result.delivered[uid] for uid in uids
-            ):
+                sender, receiver = senders[i], receivers[i]
+                got = result.delivered[sender]
+                if receiver not in got:
+                    got.add(receiver)
+                    if receiver in required[sender]:
+                        missing -= 1
+            if stop_when_complete and missing == 0:
                 result.completed_round = chunk_start + offset + 1
                 break
         if result.completed_round is not None:

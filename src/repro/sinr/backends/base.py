@@ -111,6 +111,15 @@ def _budget_cuts(
         start = end
 
 
+def _is_every_node(receivers: np.ndarray, n: int) -> bool:
+    """Whether ``receivers`` is ``0 .. n-1`` in order (the default listener pool).
+
+    A gain block for every node in order is whole rows, which
+    ``take(senders, axis=0)`` copies without the column gather of ``np.ix_``.
+    """
+    return receivers.size == n and np.array_equal(receivers, np.arange(n))
+
+
 def _empty_table(num_rounds: int) -> DeliveryTable:
     return DeliveryTable(
         num_rounds=num_rounds,
@@ -129,9 +138,10 @@ class PhysicsBackend(ABC):
     """
 
     #: Soft cap on the number of elements materialized at once -- gain-matrix
-    #: rows x listeners per :meth:`receptions_table` chunk here, pair and
-    #: tile joins in the spatial backend; keeps peak memory bounded even for
-    #: long schedules over large deployments.
+    #: rows x listeners per :meth:`receptions_table` chunk here; keeps peak
+    #: memory bounded even for long schedules over large deployments.  The
+    #: spatial backend overrides it with a cache-sized budget (2^14 pairs)
+    #: for its exact-tail and far-bound pair lists.
     _BATCH_BLOCK_ELEMENTS = 4_000_000
 
     def __init__(self, params: SINRParameters) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..geometry import pairwise_distances
 from ..model import NUMERIC_TOLERANCE, SINRParameters
-from .base import COLOCATED_GAIN, PhysicsBackend, check_node_indices
+from .base import COLOCATED_GAIN, PhysicsBackend, _is_every_node, check_node_indices
 
 
 class DenseMatrixBackend(PhysicsBackend):
@@ -123,8 +123,7 @@ class DenseMatrixBackend(PhysicsBackend):
         ``np.ix_``; either way the values are copied unchanged.
         """
         receivers = np.asarray(receivers)
-        n = self._gains.shape[0]
-        if receivers.size == n and np.array_equal(receivers, np.arange(n)):
+        if _is_every_node(receivers, self._gains.shape[0]):
             return self._gains.take(senders, axis=0)
         return self._gains[np.ix_(senders, receivers)]
 

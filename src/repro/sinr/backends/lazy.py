@@ -28,7 +28,7 @@ from typing import Dict
 import numpy as np
 
 from ..model import SINRParameters
-from .base import COLOCATED_GAIN, PhysicsBackend, check_node_indices
+from .base import COLOCATED_GAIN, PhysicsBackend, _is_every_node, check_node_indices
 
 
 class LazyBlockBackend(PhysicsBackend):
@@ -222,8 +222,15 @@ class LazyBlockBackend(PhysicsBackend):
         """Gain sub-matrix, assembled from cached/recomputed rows.
 
         Each distinct sender's row is fetched once: a chunk of schedule
-        rounds lists a node once per round it transmits in.
+        rounds lists a node once per round it transmits in.  When the
+        receivers are every node in order (the default listener pool) the
+        block is whole rows, taken without the column gather of ``np.ix_``
+        (the dense backend's rule); either way the values are copied
+        unchanged.
         """
         uniq, inv = np.unique(np.asarray(senders, dtype=int), return_inverse=True)
         rows = self._rows(uniq)
-        return rows[np.ix_(inv, np.asarray(receivers, dtype=int))]
+        receivers = np.asarray(receivers, dtype=int)
+        if _is_every_node(receivers, self._n):
+            return rows.take(inv, axis=0)
+        return rows[np.ix_(inv, receivers)]

@@ -69,6 +69,16 @@ SINR values, and splitting a schedule at any round boundary is
 associative.  ``tests/test_backend_differential.py`` pins both properties
 across backends, schedule families and batch limits.
 
+Two rules keep the memory-bound per-batch stages cheap.  Coordinate rows
+are gathered with ``take`` (``positions.take(idx, axis=0)``), never with a
+fancy row index: it copies the same values about ten times faster per
+``(x, y)`` row, and the exact tail gathers two rows per (listener,
+transmitter) pair.  And the two pair-list loops -- the exact tail and the
+far-field bound -- cut their pair lists at candidate boundaries into
+chunks of at most ``_BATCH_BLOCK_ELEMENTS`` = 2^14 pairs, so the twenty
+or so temporaries of a chunk stay in cache.  Neither rule changes a
+value.
+
 Soundness of the certificates (all bounds are cell-rectangle bounds, valid
 for any point positions inside the cells):
 
@@ -154,6 +164,13 @@ class SpatialGridBackend(PhysicsBackend):
     #: schedules.
     _BATCH_ENTRIES = 4096
     _BATCH_ROUNDS = 64
+
+    #: Pair budget of the two pair-list loops (:meth:`_exact_eval_segments`
+    #: and :meth:`_far_lower_bound`), overriding the base's 4M elements: each
+    #: chunk allocates about twenty arrays of its pair count, and at 2^14
+    #: pairs they stay in cache.  Chunks split only at candidate (or query)
+    #: boundaries, so the budget never changes a result.
+    _BATCH_BLOCK_ELEMENTS = 1 << 14
 
     #: Cost rule of :meth:`_batch_core`: a batch skips the certificate
     #: ladder and evaluates every candidate exactly when that exact work
@@ -510,7 +527,7 @@ class SpatialGridBackend(PhysicsBackend):
             di = np.abs(qcx[start:end][pq] - ucx[pt])
             dj = np.abs(qcy[start:end][pq] - ucy[pt])
             far = (di > ring) | (dj > ring)
-            contrib = np.where(far, tile_counts[pt] * self._far_gain[di, dj], 0.0)
+            contrib = np.where(far, tile_counts[pt] * self._far_gain.take(di * ncy + dj), 0.0)
             per_tile[start:end] = np.bincount(pq, weights=contrib, minlength=m)
         return per_tile[inverse]
 
@@ -545,8 +562,8 @@ class SpatialGridBackend(PhysicsBackend):
             m = end - start
             pair_cand = np.repeat(np.arange(m, dtype=np.int64), seg_counts[start:end])
             pair_pos = _csr_take(seg_starts[start:end], seg_counts[start:end])
-            txy = self._positions[tx_pool[pair_pos]]
-            rxy = self._positions[rx_nodes[start:end]][pair_cand]
+            txy = self._positions.take(tx_pool.take(pair_pos), axis=0)
+            rxy = self._positions.take(rx_nodes[start:end], axis=0).take(pair_cand, axis=0)
             dx = txy[:, 0] - rxy[:, 0]
             dy = txy[:, 1] - rxy[:, 1]
             with np.errstate(divide="ignore"):
@@ -700,7 +717,7 @@ class SpatialGridBackend(PhysicsBackend):
 
         cand_cells = self._cell_of[rx[cand]]
         lcx, lcy = np.divmod(cand_cells, np.int64(ncy))
-        cand_xy = self._positions[rx[cand]]
+        cand_xy = self._positions.take(rx[cand], axis=0)
         base_key = cand_round * ncells
 
         # Ring 1: exact gains over each candidate's own-round 3x3 block.
@@ -710,7 +727,7 @@ class SpatialGridBackend(PhysicsBackend):
         stats["near_pairs"] += pair_l.size
         bstats["join_entries"] += pair_l.size
         gains = _kernels.pair_gains(
-            self._positions[btx[pair_t]], cand_xy[pair_l],
+            self._positions.take(btx[pair_t], axis=0), cand_xy.take(pair_l, axis=0),
             params.power, params.alpha, COLOCATED_GAIN,
         )
         near_sum, near_max = _kernels.near_reduce(pair_l, gains, cand.size)
@@ -744,7 +761,8 @@ class SpatialGridBackend(PhysicsBackend):
                 stats["near_pairs"] += shell_l.size
                 bstats["join_entries"] += shell_l.size
                 shell_gains = _kernels.pair_gains(
-                    self._positions[btx[shell_t]], cand_xy[und][shell_l],
+                    self._positions.take(btx[shell_t], axis=0),
+                    cand_xy.take(und, axis=0).take(shell_l, axis=0),
                     params.power, params.alpha, COLOCATED_GAIN,
                 )
                 shell_sum, _ = _kernels.near_reduce(shell_l, shell_gains, und.size)

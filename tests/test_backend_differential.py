@@ -414,6 +414,48 @@ class TestCostRuleBranches:
         assert_tables_bit_identical(ladder, exact_first)
 
 
+class TestPairBudget:
+    @pytest.mark.parametrize("ratio", [0.0, math.inf])
+    def test_default_pair_budget_splits_a_real_batch(self, ratio):
+        """The spatial pair budget (2^14) cuts a real batch's exact tail.
+
+        300 nodes on a 6 x 6 square with six rounds of 100 transmitters:
+        one batch whose exact pair list exceeds the budget on both branches
+        of the cost rule (``ratio`` 0 forces the ladder, ``inf``
+        exact-first).  The default budget, the base's 4M (no cut) and 1
+        (one candidate per chunk) must give bit-identical tables.
+        """
+        n, k, num_rounds = 300, 100, 6
+        positions = random_positions(41, n, side=6.0)
+        rng = np.random.default_rng(41)
+        members = np.concatenate(
+            [np.sort(rng.choice(n, k, replace=False)) for _ in range(num_rounds)]
+        )
+        indptr = np.arange(num_rounds + 1, dtype=np.int64) * k
+        default = SpatialGridBackend._BATCH_BLOCK_ELEMENTS
+        assert default == 1 << 14
+        tables, pairs = [], []
+        for block in (default, 4_000_000, 1):
+            backend = spatial_backend(positions.copy())
+            backend._EXACT_FIRST_RATIO = ratio
+            backend._BATCH_BLOCK_ELEMENTS = block
+            exact = backend._exact_eval_segments
+
+            def counted(tx_pool, seg_starts, seg_counts, rx_nodes, exact=exact):
+                pairs.append(int(seg_counts.sum()))
+                return exact(tx_pool, seg_starts, seg_counts, rx_nodes)
+
+            backend._exact_eval_segments = counted
+            tables.append(backend.receptions_table(indptr, members))
+            info = backend.grid_info()
+            assert info["batches"] == 1
+            assert info["batches_exact_first"] == (1 if ratio == math.inf else 0)
+        assert min(pairs) > default
+        assert len(tables[0]) > 0
+        assert_tables_bit_identical(tables[0], tables[1])
+        assert_tables_bit_identical(tables[0], tables[2])
+
+
 # --------------------------------------------------------------------- #
 # Generic (dense/lazy) path against the per-round reference.
 # --------------------------------------------------------------------- #

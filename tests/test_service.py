@@ -407,8 +407,16 @@ class TestStreaming:
                 f"POST /run HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n\r\n{body}".encode()
             )
-            first = raw.recv(1024)  # status line + header chunk arrived: stream is live
-            assert b"200" in first
+            # The response head is flushed before the chunk generator starts,
+            # and the generator counts the stream on its first step; the
+            # "spec" header line is yielded after that count, so the stream
+            # is live (streams_active == 1) once it has arrived.
+            received = b""
+            while b'"spec"' not in received:
+                data = raw.recv(1024)
+                assert data, f"connection closed before the first chunk: {received!r}"
+                received += data
+            assert b"200" in received
         finally:
             raw.close()  # hang up mid-run
         with counters.changed:
