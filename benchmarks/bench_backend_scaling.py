@@ -25,7 +25,7 @@ Claims measured here (and recorded in ``BENCH_backend_scaling.json``):
 5. **Local broadcast at n = 100k** -- a complete run of the paper's
    local-broadcast stack (clustering, labeling, SNS sweeps) on a
    constant-density 100k-node deployment through the spatial backend; the
-   dense backend cannot even allocate its matrices at this size.
+   dense backend cannot even allocate its gain matrix at this size.
 6. **n = 1M frontier** -- the spatial backend builds a million-node
    deployment and evaluates single rounds; recorded, not gated.
 
@@ -78,8 +78,8 @@ def positions_for(n: int, seed: int = 0) -> np.ndarray:
 
 
 def dense_matrix_bytes(n: int) -> int:
-    """Resident bytes the dense backend needs (gain + distance matrix)."""
-    return 2 * n * n * 8
+    """Resident bytes the dense backend needs: one n x n float64 gain matrix."""
+    return n * n * 8
 
 
 def bench_batch_vs_rounds(n: int, rounds: int, per_round: int) -> Dict[str, float]:
@@ -371,7 +371,7 @@ def main() -> int:
     print(f"\n== memory scaling (n={large_n}, budget {args.budget_gb:.1f} GB) ==")
     memory = bench_memory_scaling(large_n, rounds, per_round, args.budget_gb)
     verdict = "fits" if memory["dense_fits_budget"] else "DOES NOT FIT"
-    print(f"  dense: needs {memory['dense_matrix_gb']:.1f} GB for its matrices -> {verdict} (not built)")
+    print(f"  dense: needs {memory['dense_matrix_gb']:.1f} GB for its gain matrix -> {verdict} (not built)")
     print(f"  lazy:  ran the full schedule at peak {memory['lazy_peak_gb']:.2f} GB "
           f"({int(memory['lazy_deliveries'])} deliveries, "
           f"{int(memory['lazy_cached_rows'])} cached rows, "

@@ -83,6 +83,26 @@ class DeliveryTable:
         return len(self.round_ids)
 
 
+def gain_matrix(src_xy: np.ndarray, dst_xy: np.ndarray, params: SINRParameters) -> np.ndarray:
+    """Received power ``P / d^alpha`` from each point of ``src_xy`` to each of ``dst_xy``.
+
+    Co-located pairs, self-pairs included, get :data:`COLOCATED_GAIN`;
+    callers zero the self-pairs.  The coordinate differences are laid out
+    ``(2, len(src_xy), len(dst_xy))`` so that both subtractions and the
+    einsum run over contiguous rows.
+    """
+    diff = np.empty((2, len(src_xy), len(dst_xy)))
+    np.subtract.outer(src_xy[:, 0], dst_xy[:, 0], out=diff[0])
+    np.subtract.outer(src_xy[:, 1], dst_xy[:, 1], out=diff[1])
+    gains = np.einsum("kij,kij->ij", diff, diff)
+    np.sqrt(gains, out=gains)
+    np.power(gains, params.alpha, out=gains)
+    with np.errstate(divide="ignore"):
+        np.divide(params.power, gains, out=gains)
+    gains[np.isinf(gains)] = COLOCATED_GAIN
+    return gains
+
+
 def check_node_indices(indices: np.ndarray, size: int, what: str = "node") -> None:
     """Raise ``ValueError`` unless every entry of ``indices`` lies in ``[0, size)``."""
     if indices.size and (indices.min() < 0 or indices.max() >= size):
@@ -133,8 +153,10 @@ def _empty_table(num_rounds: int) -> DeliveryTable:
 class PhysicsBackend(ABC):
     """Abstract SINR physics backend over a fixed ``n``-node placement.
 
-    Subclasses implement :meth:`gain_block` (and the shape accessors); the
-    reception semantics live here so all backends agree exactly.
+    Subclasses implement :meth:`gain_block` and keep the placement in
+    ``_positions`` (see :meth:`_placement`) and ``_n``; the reception
+    semantics and the positional accessors live here so all backends agree
+    exactly.
     """
 
     #: Soft cap on the number of elements materialized at once -- gain-matrix
@@ -151,10 +173,45 @@ class PhysicsBackend(ABC):
     # Backend primitive and shape accessors.
     # ------------------------------------------------------------------ #
 
+    @staticmethod
+    def _placement(positions: np.ndarray) -> np.ndarray:
+        """A private float copy of an ``(n, 2)`` coordinate array."""
+        positions = np.array(positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 2:
+            raise ValueError("positions must be an (n, 2) array")
+        return positions
+
     @property
-    @abstractmethod
     def size(self) -> int:
         """Number of nodes in the placement."""
+        return self._n
+
+    def _require_positions(self, operation: str) -> np.ndarray:
+        if self._positions is None:
+            raise ValueError(
+                f"this backend was built from a distance matrix; {operation} needs coordinates"
+            )
+        return self._positions
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Node coordinates (read-only view); unavailable for metric-only backends."""
+        view = self._require_positions("positions").view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def distances(self) -> np.ndarray:
+        """Unavailable: a backend over positions keeps no pairwise-distance matrix."""
+        raise ValueError(
+            f"{type(self).__name__} does not materialize the pairwise-distance matrix; "
+            "use distance(a, b) for point queries"
+        )
+
+    def distance(self, a: int, b: int) -> float:
+        """Distance between nodes ``a`` and ``b`` (computed from positions)."""
+        diff = self._positions[a] - self._positions[b]
+        return float(np.sqrt(diff[0] * diff[0] + diff[1] * diff[1]))
 
     @abstractmethod
     def gain_block(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
@@ -164,10 +221,6 @@ class PhysicsBackend(ABC):
         distinct pairs are clamped to a huge finite value (reception from a
         co-located node trivially succeeds when it transmits alone).
         """
-
-    @abstractmethod
-    def distance(self, a: int, b: int) -> float:
-        """Distance between nodes ``a`` and ``b``."""
 
     @property
     def params(self) -> SINRParameters:

@@ -112,6 +112,7 @@ from .base import (
     _budget_cuts,
     _empty_table,
     check_node_indices,
+    gain_matrix,
 )
 
 #: Bound on the total number of grid cells, as a multiple of ``n``.  Very
@@ -182,11 +183,8 @@ class SpatialGridBackend(PhysicsBackend):
 
     def __init__(self, positions: np.ndarray, params: SINRParameters) -> None:
         super().__init__(params)
-        positions = np.asarray(positions, dtype=float)
-        if positions.ndim != 2 or positions.shape[1] != 2:
-            raise ValueError("positions must be an (n, 2) array")
-        self._positions = positions.copy()
-        self._n = len(positions)
+        self._positions = self._placement(positions)
+        self._n = len(self._positions)
         # Grid state, built lazily (and invalidated by mutations that move
         # nodes outside the current bounding box).
         self._cell: float = 0.0
@@ -225,41 +223,12 @@ class SpatialGridBackend(PhysicsBackend):
     # Shape accessors and the gain primitive.
     # ------------------------------------------------------------------ #
 
-    @property
-    def size(self) -> int:
-        """Number of nodes in the placement."""
-        return self._n
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Node coordinates (read-only view)."""
-        view = self._positions.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def distances(self) -> np.ndarray:
-        """Unavailable: materializing the O(n^2) matrix is what this backend avoids."""
-        raise ValueError(
-            "SpatialGridBackend does not materialize the pairwise-distance matrix; "
-            "use distance(a, b) for point queries or the dense backend"
-        )
-
-    def distance(self, a: int, b: int) -> float:
-        """Distance between nodes ``a`` and ``b`` (computed from positions)."""
-        diff = self._positions[a] - self._positions[b]
-        return float(np.sqrt(diff[0] * diff[0] + diff[1] * diff[1]))
-
     def gain_block(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
         """Gain sub-matrix computed straight from positions (dense conventions)."""
         senders = np.asarray(senders, dtype=np.int64)
         receivers = np.asarray(receivers, dtype=np.int64)
-        diff = self._positions[senders][:, None, :] - self._positions[receivers][None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        with np.errstate(divide="ignore"):
-            gains = self._params.power / np.power(dist, self._params.alpha)
+        gains = gain_matrix(self._positions[senders], self._positions[receivers], self._params)
         gains[senders[:, None] == receivers[None, :]] = 0.0
-        gains[np.isinf(gains)] = COLOCATED_GAIN
         return gains
 
     def grid_info(self) -> Dict[str, object]:

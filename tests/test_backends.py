@@ -2,8 +2,11 @@
 
 The load-bearing guarantees:
 
-* ``DenseMatrixBackend`` and ``LazyBlockBackend`` produce identical
-  ``receptions()`` on random deployments (property test);
+* ``DenseMatrixBackend`` and ``LazyBlockBackend`` produce bit-identical
+  reception tables on random deployments, at any lazy store capacity
+  (property tests; ``tests/test_incremental_physics.py`` adds mutations);
+* the dense build holds one gain matrix and a lazy store stays within its
+  byte bound (tracemalloc);
 * a multi-round ``receptions_table`` matches round-by-round
   ``receptions`` for both backends (property test);
 * the batched simulator path (``SINRSimulator.run_schedule_table``) is equivalent
@@ -13,6 +16,8 @@ The load-bearing guarantees:
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,18 +94,31 @@ def table_rounds(table):
     return rounds
 
 
-def assert_receptions_close(a, b):
-    """Same receivers, same decoded senders, SINR equal up to rounding.
+def assert_tables_identical(a, b):
+    """Bit-identical tables, all four columns.
 
-    Exact float equality is not guaranteed across backends (or cache states):
-    vectorized distance computations over different array shapes may differ in
-    the last ulp.
+    Dense and lazy read their gains from one row routine, so no tolerance
+    applies between them, nor between cache states of one backend.
     """
-    assert set(a) == set(b)
-    for receiver, reception in a.items():
-        other = b[receiver]
-        assert other.sender == reception.sender
-        assert other.sinr == pytest.approx(reception.sinr, rel=1e-9)
+    assert a.num_rounds == b.num_rounds
+    for column in ("round_ids", "receivers", "senders", "sinr"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+
+
+def one_round(backend, transmitters, listeners=None):
+    return backend.receptions_table(*csr_schedule([transmitters]), listeners=listeners)
+
+
+class OneRowLazy(LazyBlockBackend):
+    """A lazy backend whose store holds a single row: constant eviction."""
+
+    _CACHE_BYTES = 1
+
+
+class FullLazy(LazyBlockBackend):
+    """A lazy backend whose store has room for every row: nothing is evicted."""
+
+    _CACHE_BYTES = 1 << 40
 
 
 class TestBackendEquivalence:
@@ -115,7 +133,7 @@ class TestBackendEquivalence:
         dense, lazy = both_backends(positions)
         rng = np.random.default_rng(tx_seed)
         transmitters = list(np.flatnonzero(rng.random(n) < 0.4))
-        assert_receptions_close(dense.receptions(transmitters), lazy.receptions(transmitters))
+        assert_tables_identical(one_round(dense, transmitters), one_round(lazy, transmitters))
 
     @given(
         seed=st.integers(min_value=0, max_value=500),
@@ -127,21 +145,40 @@ class TestBackendEquivalence:
         dense, lazy = both_backends(positions)
         transmitters = list(range(0, n, 2))
         listeners = list(range(1, n, 2))
-        assert_receptions_close(
-            dense.receptions(transmitters, listeners),
-            lazy.receptions(transmitters, listeners),
+        assert_tables_identical(
+            one_round(dense, transmitters, listeners), one_round(lazy, transmitters, listeners)
         )
 
-    def test_lazy_equivalent_under_cache_thrash(self, monkeypatch):
-        # A one-row cache forces constant eviction; results must not change.
-        monkeypatch.setattr(LazyBlockBackend, "_CACHE_BYTES", 1)
-        positions = random_positions(7, 20)
-        dense, lazy = both_backends(positions)
+    def assert_lazy_store_matches_dense(self, lazy):
+        positions = lazy.positions
+        dense = DenseMatrixBackend(positions, SINRParameters.default())
+        n = len(positions)
+        schedule = [
+            list(np.flatnonzero(np.random.default_rng(seed).random(n) < 0.5))
+            for seed in range(5)
+        ] + [[3], [3], [0, n - 1]]
+        for listeners in (None, [1, 4, 9, 16]):
+            assert_tables_identical(
+                dense.receptions_table(*csr_schedule(schedule), listeners=listeners),
+                lazy.receptions_table(*csr_schedule(schedule), listeners=listeners),
+            )
+        everyone = np.arange(n)
+        assert np.array_equal(lazy.gain_block(everyone, everyone), dense._gains)
+
+    def test_lazy_equivalent_under_cache_thrash(self):
+        # A one-row store evicts constantly and computes every multi-row
+        # request uncached; results must not change by a bit.
+        lazy = OneRowLazy(random_positions(7, 20), SINRParameters.default())
         assert lazy.cache_info()["capacity_rows"] == 1
-        for round_seed in range(5):
-            rng = np.random.default_rng(round_seed)
-            transmitters = list(np.flatnonzero(rng.random(20) < 0.5))
-            assert_receptions_close(dense.receptions(transmitters), lazy.receptions(transmitters))
+        self.assert_lazy_store_matches_dense(lazy)
+
+    def test_full_capacity_lazy_store_matches_dense(self):
+        lazy = FullLazy(random_positions(8, 20), SINRParameters.default())
+        assert lazy.cache_info()["capacity_rows"] >= 20
+        self.assert_lazy_store_matches_dense(lazy)
+        info = lazy.cache_info()
+        assert info["resident_rows"] == 20
+        assert info["misses"] == 20  # each row computed once, never evicted
 
     def test_lazy_cache_serves_repeated_rows(self):
         positions = random_positions(3, 12)
@@ -156,19 +193,56 @@ class TestBackendEquivalence:
     def test_scalar_helpers_agree(self):
         positions = random_positions(11, 10)
         dense, lazy = both_backends(positions)
-        assert lazy.gain(0, 1) == pytest.approx(dense.gain(0, 1))
-        assert lazy.distance(2, 3) == pytest.approx(dense.distance(2, 3))
-        assert lazy.sinr(0, 1, [0, 2, 3]) == pytest.approx(dense.sinr(0, 1, [0, 2, 3]))
-        assert lazy.interference_at(1, [0, 2]) == pytest.approx(
-            dense.interference_at(1, [0, 2])
-        )
+        assert lazy.gain(0, 1) == dense.gain(0, 1)
+        assert lazy.distance(2, 3) == dense.distance(2, 3)
+        assert lazy.sinr(0, 1, [0, 2, 3]) == dense.sinr(0, 1, [0, 2, 3])
+        assert lazy.interference_at(1, [0, 2]) == dense.interference_at(1, [0, 2])
         assert lazy.hears_alone(0, 1) == dense.hears_alone(0, 1)
 
     def test_co_located_nodes_handled_identically(self):
         positions = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
         dense, lazy = both_backends(positions)
-        assert_receptions_close(dense.receptions([0]), lazy.receptions([0]))
-        assert_receptions_close(dense.receptions([0, 1]), lazy.receptions([0, 1]))
+        assert_tables_identical(one_round(dense, [0]), one_round(lazy, [0]))
+        assert_tables_identical(one_round(dense, [0, 1]), one_round(lazy, [0, 1]))
+
+
+class TestGainStoreMemory:
+    """The store is the only O(n^2) (dense) or O(capacity * n) (lazy) state."""
+
+    def test_dense_build_holds_one_gain_matrix(self):
+        n = 3000
+        positions = random_positions(1, n, side=3.9 * np.sqrt(n / 120))
+        matrix = 8 * n * n
+        tracemalloc.start()
+        try:
+            backend = DenseMatrixBackend(positions, SINRParameters.default())
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert backend._gains.nbytes == matrix
+        assert current <= 1.1 * matrix
+        assert peak <= 1.5 * matrix
+
+    @pytest.mark.parametrize("cache_bytes, n", [(1, 400), (64 * 1024, 400), (4 * 1024 * 1024, 1500)])
+    def test_lazy_store_stays_within_its_bound(self, cache_bytes, n):
+        cls = type("BoundedLazy", (LazyBlockBackend,), {"_CACHE_BYTES": cache_bytes})
+        positions = random_positions(2, n, side=3.9 * np.sqrt(n / 120))
+        bound = max(cache_bytes, 8 * n)
+        rng = np.random.default_rng(3)
+        # Three passes over every node, 40 transmitters a round.
+        order = np.concatenate([rng.permutation(n) for _ in range(3)])
+        schedule = csr_schedule([order[i : i + 40] for i in range(0, len(order), 40)])
+        tracemalloc.start()
+        try:
+            backend = cls(positions, SINRParameters.default())
+            backend.receptions_table(*schedule)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert backend.cache_info()["misses"] >= n
+        assert backend._store.nbytes <= bound
+        # Besides the store: the slot maps, O(n + capacity) integers.
+        assert current <= bound + 64 * n
 
 
 class TestReceptionsBatch:
@@ -186,7 +260,7 @@ class TestReceptionsBatch:
             batch = table_rounds(backend.receptions_table(*csr_schedule(schedule)))
             assert len(batch) == rounds
             for tx, outcome in zip(schedule, batch):
-                assert_receptions_close(outcome, backend.receptions(tx))
+                assert outcome == backend.receptions(tx)
 
     def test_batch_respects_listener_restriction(self):
         positions = random_positions(5, 14)
@@ -197,7 +271,7 @@ class TestReceptionsBatch:
                 backend.receptions_table(*csr_schedule(schedule), listeners=listeners)
             )
             for tx, outcome in zip(schedule, batch):
-                assert_receptions_close(outcome, backend.receptions(tx, listeners=listeners))
+                assert outcome == backend.receptions(tx, listeners=listeners)
                 assert set(outcome) <= set(listeners)
 
     def test_batch_chunking_boundary(self):
@@ -209,7 +283,7 @@ class TestReceptionsBatch:
         batch = table_rounds(dense.receptions_table(*csr_schedule(schedule)))
         assert len(batch) == len(schedule)
         for tx, outcome in zip(schedule, batch):
-            assert_receptions_close(outcome, dense.receptions(tx))
+            assert outcome == dense.receptions(tx)
 
 
 ALL_BACKENDS = (DenseMatrixBackend, LazyBlockBackend, SpatialGridBackend)
