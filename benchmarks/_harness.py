@@ -13,8 +13,6 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict
 
-import pytest
-
 from repro.core import AlgorithmConfig
 
 

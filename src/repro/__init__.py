@@ -3,11 +3,12 @@
 The package is organised in layers:
 
 * :mod:`repro.sinr` -- the physical substrate: SINR parameters, geometry,
-  reception physics, network placements and deployment generators.
+  reception physics, network placements (index-aligned uid and position
+  arrays, no per-run state) and deployment generators.
 * :mod:`repro.selectors` -- combinatorial transmission schedules (ssf, wss,
   wcss) and MIS helpers.
-* :mod:`repro.simulation` -- the synchronous round engine, schedule
-  execution, traces and metrics.
+* :mod:`repro.simulation` -- the synchronous round engine (which owns one
+  run's wake state and round/message counters) and schedule execution.
 * :mod:`repro.core` -- the paper's algorithms: proximity graphs,
   sparsification, clustering, local/global broadcast, wake-up and leader
   election.

@@ -16,7 +16,7 @@ post-hoc analysis path over a store filled by sweeps or CI jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 
 @dataclass

@@ -514,9 +514,10 @@ def run_on_network(network, spec: RunSpec, store=None, cache: str = "reuse") -> 
     (:mod:`repro.service`): instead of materializing the spec's deployment,
     the registered algorithm runs directly on ``network`` -- a live
     :class:`~repro.sinr.network.WirelessNetwork` that may have been mutated
-    (moves, crashes, joins) since it was built.  Protocol state is reset
-    first, so repeated runs on the same placement are independent and
-    deterministic.
+    (moves, crashes, joins) since it was built.  Each run gets a fresh
+    simulator and leaves no state on the network, so repeated runs on the
+    same placement are independent and deterministic, and a store hit
+    leaves the network exactly as a cold run does.
 
     The caller is responsible for making ``spec`` *name* the network state
     it hands in: when the network no longer matches the spec's deployment
@@ -549,7 +550,6 @@ def run_on_network(network, spec: RunSpec, store=None, cache: str = "reuse") -> 
             return hit
     config = spec.algorithm.build_config()
     params = spec.algorithm.param_dict()
-    network.reset_protocol_state()
     sim = SINRSimulator(network)
     started = time.perf_counter()
     outcome = entry.fn(sim, config=config, **params)

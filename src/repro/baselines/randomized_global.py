@@ -67,7 +67,7 @@ def _run_informed_flood(
         for uid in informed:
             if rng.random() < probability_for_round(uid, local_round):
                 transmissions[uid] = Message(sender=uid, tag="rand-global")
-        delivered = sim.run_round(transmissions, listeners=uids, phase="rand-global")
+        delivered = sim.run_round(transmissions, listeners=uids)
         newly = {listener for listener in delivered if listener not in informed}
         for uid in newly:
             result.awakened_round[uid] = local_round

@@ -107,7 +107,7 @@ def _run_probabilistic_rounds(
         num_rounds = min(_CHUNK_ROUNDS, max_rounds - chunk_start)
         lo, hi = np.searchsorted(tx_round_ids, [chunk_start, chunk_start + num_rounds])
         deliveries = sim.run_schedule_table(
-            num_rounds, tx_round_ids[lo:hi] - chunk_start, tx_uids[lo:hi], phase="rand-local"
+            num_rounds, tx_round_ids[lo:hi] - chunk_start, tx_uids[lo:hi]
         )
         bounds = np.searchsorted(deliveries.round_ids, np.arange(num_rounds + 1)).tolist()
         receivers = deliveries.receiver_uids.tolist()

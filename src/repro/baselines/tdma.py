@@ -15,7 +15,7 @@ anchors for both tables:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..simulation.engine import SINRSimulator
 from ..simulation.messages import Message
@@ -67,7 +67,7 @@ def tdma_local_broadcast(
     for sender, listener in zip(senders.tolist(), receivers.tolist()):
         result.delivered[sender].add(listener)
     if charge_full_id_space:
-        sim.run_silent_rounds(max(0, network.id_space - network.size), phase="tdma-local:idle")
+        sim.run_silent_rounds(max(0, network.id_space - network.size))
     result.rounds_used = sim.current_round - start_round
     return result
 
@@ -96,7 +96,7 @@ def tdma_global_broadcast(
             phase="tdma-global",
         )
         if charge_full_id_space:
-            sim.run_silent_rounds(max(0, network.id_space - len(informed)), phase="tdma-global:idle")
+            sim.run_silent_rounds(max(0, network.id_space - len(informed)))
         _, receivers = outcome.delivery_pairs()
         newly = set(receivers.tolist()) - informed
         for uid in newly:

@@ -55,15 +55,6 @@ from typing import Any, Dict, Optional, Sequence
 
 from . import api
 from .api import AlgorithmSpec, DeploymentSpec, DynamicsSpec, MobilitySpec, RunSpec
-from .core import AlgorithmConfig
-
-
-def _config_for(preset: str) -> AlgorithmConfig:
-    """Deprecated shim: resolve a preset name via ``api.CONFIG_PRESETS``."""
-    try:
-        return api.CONFIG_PRESETS.get(preset)()
-    except KeyError as exc:
-        raise ValueError(str(exc)) from None
 
 
 #: Flag -> builder-parameter translation per deployment kind.  This is pure

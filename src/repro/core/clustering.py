@@ -151,7 +151,7 @@ def build_clustering(
                 # Replay the level's schedule: parents re-send their cluster ID
                 # to their children (receptions identical to the recorded run).
                 if level.replay_length:
-                    sim.run_silent_rounds(level.replay_length, phase=f"{phase}:inherit")
+                    sim.run_silent_rounds(level.replay_length)
                 for uid in newcomers:
                     parent = level.parent.get(uid)
                     if parent is not None and parent in cluster_of:
@@ -193,14 +193,10 @@ def build_clustering(
         cluster_of.update(reduction.cluster_of)
         radius_reductions += 1
 
-    result = ClusteringResult(
+    return ClusteringResult(
         cluster_of={uid: cluster_of[uid] for uid in participants},
         sparse_roots=sparse_roots,
         rounds_used=sim.current_round - start_round,
         level_stats=stats,
         radius_reductions=radius_reductions,
     )
-    # Publish the assignment on the node objects for downstream consumers.
-    for uid in participants:
-        network.node(uid).cluster = result.cluster_of[uid]
-    return result

@@ -25,7 +25,7 @@ iterations the worst-case bounds require.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..sinr.geometry import chi

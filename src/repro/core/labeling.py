@@ -17,8 +17,8 @@ docs/paper.md, Reproduction notes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Set
 
 from ..simulation.engine import SINRSimulator
 from .config import AlgorithmConfig
@@ -110,7 +110,7 @@ def imperfect_labeling(
     # schedules per direction.
     replay = sum(level.replay_length for level in forest.levels)
     if replay:
-        sim.run_silent_rounds(2 * replay, phase=f"{phase}:tree-passes")
+        sim.run_silent_rounds(2 * replay)
 
     return LabelingResult(
         labels=labels, forest=forest, rounds_used=sim.current_round - start_round

@@ -19,7 +19,7 @@ broadcast from a non-empty source set reaches everyone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..simulation.engine import SINRSimulator
 from .clustering import ClusteringResult, build_clustering

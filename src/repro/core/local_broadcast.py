@@ -17,7 +17,7 @@ benchmarks can verify completion and count rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..simulation.engine import SINRSimulator
 from ..simulation.messages import Message

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 from ..selectors.ssf import TransmissionSchedule, greedy_random_ssf
 from ..selectors.wcss import ClusterAwareSchedule, random_wcss

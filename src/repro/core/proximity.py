@@ -265,9 +265,7 @@ def build_proximity_graph(
     )
     confirmation_repetitions = min(confirmation_repetitions, candidate_cap)
     if confirmation_repetitions:
-        sim.run_silent_rounds(
-            confirmation_repetitions * schedule_length, phase=f"{phase}:confirm"
-        )
+        sim.run_silent_rounds(confirmation_repetitions * schedule_length)
 
     for v in participants:
         kept: Set[int] = set()
@@ -289,7 +287,6 @@ def neighbor_exchange(
     sim: SINRSimulator,
     graph: ProximityGraph,
     payloads: Mapping[int, Tuple[int, ...]],
-    phase: str = "exchange",
 ) -> Dict[int, Dict[int, Tuple[int, ...]]]:
     """Deliver a fresh payload across every edge of ``H`` (both directions).
 
@@ -298,7 +295,7 @@ def neighbor_exchange(
     rounds.  Returns ``received[v][u] = payload of u`` for every edge
     ``{u, v}`` of ``H``.
     """
-    sim.run_silent_rounds(graph.schedule_length, phase=phase)
+    sim.run_silent_rounds(graph.schedule_length)
     received: Dict[int, Dict[int, Tuple[int, ...]]] = {uid: {} for uid in graph.participants}
     for v in graph.participants:
         for u in graph.neighbors(v):
@@ -310,7 +307,6 @@ def distributed_mis(
     sim: SINRSimulator,
     graph: ProximityGraph,
     config: AlgorithmConfig,
-    phase: str = "mis",
 ) -> Set[int]:
     """Compute a maximal independent set of ``H`` by local message exchange.
 
@@ -322,5 +318,5 @@ def distributed_mis(
     adjacency = {uid: set(graph.neighbors(uid)) for uid in graph.participants}
     mis, iterations = iterated_local_minima_mis(adjacency, max_iterations=config.mis_max_iterations)
     if iterations:
-        sim.run_silent_rounds(iterations * max(graph.schedule_length, 1), phase=phase)
+        sim.run_silent_rounds(iterations * max(graph.schedule_length, 1))
     return mis

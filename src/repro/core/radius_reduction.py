@@ -19,7 +19,7 @@ iterations are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Iterable, Mapping, Set
 
 from ..selectors.mis import iterated_local_minima_mis
 from ..simulation.engine import SINRSimulator
@@ -88,7 +88,7 @@ def reduce_radius(
         mis, mis_iterations = iterated_local_minima_mis(adjacency)
         if mis_iterations:
             # Status exchanges between G-neighbours: replay the SNS per iteration.
-            sim.run_silent_rounds(mis_iterations * outcome.rounds, phase=f"{phase}:mis")
+            sim.run_silent_rounds(mis_iterations * outcome.rounds)
         if not mis:
             mis = {min(survivors)}
 

@@ -149,16 +149,14 @@ def sparsify(
         )
         replay_length += graph.schedule_length
         if cluster_of is None:
-            independent = distributed_mis(sim, graph, config, phase=f"{phase}:mis")
+            independent = distributed_mis(sim, graph, config)
         else:
             adjacency = {uid: graph.neighbors(uid) for uid in active}
             independent = local_minima(adjacency)
         new_children = _assign_parents(active, independent, graph, parent, children)
         if new_children:
             # Children announce their chosen parent (one replayed exchange).
-            neighbor_exchange(
-                sim, graph, {uid: (parent[uid],) for uid in new_children}, phase=f"{phase}:claim"
-            )
+            neighbor_exchange(sim, graph, {uid: (parent[uid],) for uid in new_children})
             replay_length += graph.schedule_length
         new_parents = {v for v in active if children.get(v)}
         parents_so_far |= new_parents

@@ -16,8 +16,8 @@ the minimum of the two mechanisms, matching the problem definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional
 
 from ..simulation.engine import SINRSimulator
 from .clustering import build_clustering
@@ -86,7 +86,7 @@ def solve_wakeup(
 
     # Rounds before the execution starts are idle waiting on the global clock.
     start_round = sim.current_round
-    sim.run_silent_rounds(max(0, execution_start - earliest), phase="wakeup:wait")
+    sim.run_silent_rounds(max(0, execution_start - earliest))
 
     clustering = build_clustering(
         sim, sorted(initially_awake), gamma, config, phase="wakeup:clustering"

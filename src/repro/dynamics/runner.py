@@ -324,7 +324,6 @@ def _generate_epochs(spec: RunSpec, entry):
             if len(indices):
                 network.move_nodes(network.uid_array[indices], new_xy)
                 moved = len(indices)
-        network.reset_protocol_state()
         sim = SINRSimulator(network)
         started = time.perf_counter()
         outcome = entry.fn(sim, config=config, **params)

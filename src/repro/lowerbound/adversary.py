@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..selectors.ssf import TransmissionSchedule
-from ..sinr.network import WirelessNetwork
 from ..simulation.engine import SINRSimulator
 from ..simulation.messages import Message
-from .gadget import GadgetLayout, build_gadget, lower_bound_parameters
+from .gadget import build_gadget, lower_bound_parameters
 
 
 class ObliviousAlgorithm:
@@ -233,7 +232,7 @@ def measure_gadget_delivery(
             for uid in core_uids
             if algorithm.transmits(uid, local_round)
         }
-        delivered = sim.run_round(transmissions, listeners=[target_uid], phase="lower-bound")
+        delivered = sim.run_round(transmissions, listeners=[target_uid])
         if target_uid in delivered:
             delivery_round = local_round
             break

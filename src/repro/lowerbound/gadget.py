@@ -28,7 +28,6 @@ assuming them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 

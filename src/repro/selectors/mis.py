@@ -21,7 +21,7 @@ realizes each iteration through SINR message exchange lives in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Set, Tuple
 
 
 def greedy_mis(adjacency: Mapping[int, Iterable[int]]) -> Set[int]:

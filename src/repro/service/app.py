@@ -50,7 +50,7 @@ import time
 import traceback
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Pattern, Tuple
 
 import re
@@ -657,7 +657,7 @@ class SimulationService:
         """``GET /sessions/<name>``: state summary.
 
         ``?log=1`` appends the commit-ordered op history; ``?nodes=1``
-        appends per-node detail (uid, position, awake) -- how clients
+        appends per-node detail (uid, position) -- how clients
         discover which uids exist before issuing a move.  The read runs
         under the session lock: a mutation executing concurrently on a
         worker thread must never yield torn positions or a fingerprint
@@ -670,14 +670,9 @@ class SimulationService:
                 data["log"] = list(session.log)
             if request.query.get("nodes") in ("1", "true", "yes"):
                 network = session.network
-                positions = network.positions
                 data["node_detail"] = [
-                    {
-                        "uid": int(uid),
-                        "position": [float(positions[i, 0]), float(positions[i, 1])],
-                        "awake": bool(network.nodes[i].awake),
-                    }
-                    for i, uid in enumerate(network.uid_array.tolist())
+                    {"uid": uid, "position": position}
+                    for uid, position in zip(network.uids, network.positions.tolist())
                 ]
         return json_response(data)
 

@@ -194,7 +194,7 @@ class ServiceClient:
         """``GET /sessions/<name>``.
 
         ``log=True`` includes the commit-ordered op history; ``nodes=True``
-        includes per-node detail (uid, position, awake) -- the way to learn
+        includes per-node detail (uid, position) -- the way to learn
         valid uids before :meth:`move_nodes`.
         """
         flags = [flag for flag, on in (("log=1", log), ("nodes=1", nodes)) if on]

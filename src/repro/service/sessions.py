@@ -12,7 +12,7 @@ serial order -- the order recorded in the session's :attr:`Session.log`
 bit-identical results).
 
 State is content-named: :meth:`Session.fingerprint` hashes the live
-placement (uids, positions, awake flags, ID space), and session runs are
+placement (uids, positions, ID space), and session runs are
 cached in the experiment store under the base spec *tagged with that
 fingerprint* (see :func:`repro.api.run_on_network`), so two clients asking
 the same question about the same state share one stored artifact -- even
@@ -52,16 +52,19 @@ class SessionNotFound(KeyError):
 def network_fingerprint(network: Any) -> str:
     """Content hash of a live network's algorithm-visible state (16 hex chars).
 
-    Covers uids, positions, awake flags and the ID space -- everything the
-    registered algorithms read from a placement.  Two networks with equal
-    fingerprints produce bit-identical run payloads, which is what lets
+    Covers uids, positions and the ID space -- everything the registered
+    algorithms read from a placement -- plus an all-awake flag block of
+    length n.  Wake state belongs to one run's simulator, never to the
+    network, so the block is constant; it stays in the hash because stored
+    session runs are keyed by fingerprints that include it.  Two networks
+    with equal fingerprints produce bit-identical run payloads, which lets
     session runs be cached per *state* and lets :func:`replay_log` verify a
     replayed trajectory took the same path.
     """
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(network.uid_array, dtype=np.int64).tobytes())
     digest.update(np.ascontiguousarray(network.positions, dtype=np.float64).tobytes())
-    digest.update(np.array([node.awake for node in network.nodes], dtype=bool).tobytes())
+    digest.update(np.ones(network.size, dtype=bool).tobytes())
     digest.update(str(int(network.id_space)).encode())
     return digest.hexdigest()[:16]
 

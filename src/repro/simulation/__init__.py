@@ -2,8 +2,6 @@
 
 from .engine import ScheduleDeliveries, SINRSimulator
 from .messages import Message, message_bits
-from .metrics import ExperimentSample, RoundMeter, summarize_samples
-from .protocol import NodeProtocol, ProtocolRun, run_protocol
 from .schedule import (
     ReceptionEvent,
     ScheduleResult,
@@ -11,24 +9,15 @@ from .schedule import (
     run_round_robin,
     run_schedule,
 )
-from .trace import ExecutionTrace, RoundRecord
 
 __all__ = [
-    "ExecutionTrace",
-    "ExperimentSample",
     "Message",
-    "NodeProtocol",
-    "ProtocolRun",
     "ReceptionEvent",
-    "RoundMeter",
-    "RoundRecord",
     "ScheduleDeliveries",
     "ScheduleResult",
     "SINRSimulator",
     "message_bits",
     "run_cluster_schedule",
-    "run_protocol",
     "run_round_robin",
     "run_schedule",
-    "summarize_samples",
 ]

@@ -10,8 +10,7 @@ per round, so the result of a round is a partial map ``listener -> message``.
 The simulator is *index-native*: wakefulness is a NumPy boolean mask over
 dense node indices, transmitter/listener sets are converted to index arrays
 once per round, and uid translation of the results is a single fancy-indexing
-pass over the network's uid array -- there is no per-``Node`` attribute churn
-on the hot path.  Every round runs through one method,
+pass over the network's uid array.  Every round runs through one method,
 :meth:`SINRSimulator.run_schedule_table`, which evaluates a whole
 precomputed sequence of transmitter sets through the physics backend's
 ``receptions_table`` in vectorized NumPy calls.  The schedule runners
@@ -26,22 +25,23 @@ iterable -- unless ``wake_on_reception`` is set, in which case a sleeping
 listener may decode and is *woken by* that first reception in the same round
 (a node can never decode while staying asleep).
 
-The engine also keeps the global round counter (protocol complexity is
-measured in rounds), a message counter and, optionally, a full
-:class:`~repro.simulation.trace.ExecutionTrace` for the figure-style
-experiments.
+The simulator alone owns the wake state of one execution: every simulator
+starts with all nodes awake, and nothing it does is written back onto the
+network, so two runs on the same network never see each other's sleepers.
+It also keeps the global round counter (protocol complexity is measured in
+rounds) and the transmission and reception counters; a per-stage cost is
+the difference of these counters across the stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
 from ..sinr.network import WirelessNetwork
 from .messages import Message
-from .trace import ExecutionTrace, RoundRecord
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,15 @@ class SINRSimulator:
     ----------
     network:
         The network (placement + physics + shared knowledge) to execute on.
-    record_trace:
-        When true, every round is appended to :attr:`trace` -- useful for the
-        per-figure experiments; leave off for the long parameter sweeps.
     """
 
-    def __init__(self, network: WirelessNetwork, record_trace: bool = False) -> None:
+    def __init__(self, network: WirelessNetwork) -> None:
         self._network = network
         self._uids = network.uid_array
-        # The mask is the authoritative wake state; it is seeded from (and
-        # mirrored back to) the Node objects so bookkeeping code that reads
-        # ``node.awake`` stays consistent.
-        self._awake = np.array([node.awake for node in network.nodes], dtype=bool)
+        self._awake = np.ones(network.size, dtype=bool)
         self._round = 0
         self._messages_sent = 0
         self._messages_delivered = 0
-        self._trace: Optional[ExecutionTrace] = ExecutionTrace() if record_trace else None
 
     # ------------------------------------------------------------------ #
     # Introspection.
@@ -111,13 +104,8 @@ class SINRSimulator:
         """Total number of successful receptions across all rounds."""
         return self._messages_delivered
 
-    @property
-    def trace(self) -> Optional[ExecutionTrace]:
-        """The execution trace, if recording was enabled."""
-        return self._trace
-
     def reset_counters(self) -> None:
-        """Reset the round and message counters (the trace is kept)."""
+        """Reset the round and message counters."""
         self._round = 0
         self._messages_sent = 0
         self._messages_delivered = 0
@@ -130,14 +118,13 @@ class SINRSimulator:
         self,
         transmissions: Mapping[int, Message],
         listeners: Optional[Iterable[int]] = None,
-        phase: str = "",
         wake_on_reception: bool = False,
     ) -> Dict[int, Message]:
         """Execute one synchronous round.
 
         A one-round :meth:`run_schedule_table` call: listener selection,
-        physics, wake-up, counters and the trace record are all that
-        path's; this method only attaches each sender's message.
+        physics, wake-up and counters are all that path's; this method only
+        attaches each sender's message.
 
         Parameters
         ----------
@@ -148,8 +135,6 @@ class SINRSimulator:
             that is awake and not transmitting.  Transmitting nodes never
             receive (half-duplex), and sleeping nodes are dropped unless
             ``wake_on_reception`` is set.
-        phase:
-            Free-form label stored in the trace.
         wake_on_reception:
             Allow sleeping nodes named in ``listeners`` to decode; a sleeping
             node that decodes is woken in the same round.  This models radios
@@ -164,8 +149,6 @@ class SINRSimulator:
         """
         if not transmissions:
             self._round += 1
-            if self._trace is not None:
-                self._trace.append(RoundRecord(index=self._round, phase=phase, transmitters=(), deliveries={}))
             return {}
 
         tx_uids = np.fromiter(transmissions, dtype=np.int64, count=len(transmissions))
@@ -174,7 +157,6 @@ class SINRSimulator:
             np.zeros(len(tx_uids), dtype=np.int64),
             tx_uids,
             listeners=listeners,
-            phase=phase,
             wake_on_reception=wake_on_reception,
         )
         return {
@@ -190,7 +172,6 @@ class SINRSimulator:
         tx_round_ids: np.ndarray,
         tx_uids: np.ndarray,
         listeners: Optional[Iterable[int]] = None,
-        phase: str = "",
         wake_on_reception: bool = False,
     ) -> ScheduleDeliveries:
         """Execute a columnar transmitter table as one batch (the native path).
@@ -199,9 +180,9 @@ class SINRSimulator:
         with no duplicate uid within a round: entry ``i`` says node
         ``tx_uids[i]`` transmits in relative round ``tx_round_ids[i]``.  Each
         round follows the listener defaults, half-duplex rule and wake model
-        documented on :meth:`run_round`; counters and trace records advance
-        per round, and a round with no transmitter is charged but silent, as
-        in a faithful execution.  The physics of all rounds is evaluated in
+        documented on :meth:`run_round`; counters advance per round, and a
+        round with no transmitter is charged but silent, as in a faithful
+        execution.  The physics of all rounds is evaluated in
         one call to the backend's ``receptions_table``.  Batching is exact,
         not an approximation: transmitter sets are fixed in advance and a
         round's outcome never depends on earlier rounds' receptions, so the
@@ -226,51 +207,15 @@ class SINRSimulator:
 
         table = network.physics.receptions_table(indptr, tx_indices, listeners=rx_candidates)
 
-        if wake_on_reception and len(table):
-            asleep = np.unique(table.receivers[~self._awake[table.receivers]])
-            if asleep.size:
-                self._set_awake(asleep.tolist(), True)
+        if wake_on_reception:
+            self._awake[table.receivers] = True
 
         uids = self._uids
         receiver_uids = uids[table.receivers]
         sender_uids = uids[table.senders]
         self._messages_sent += len(tx_uids)
         self._messages_delivered += len(table)
-
-        if self._trace is None:
-            self._round += num_rounds
-        else:
-            bounds = np.searchsorted(table.round_ids, np.arange(num_rounds + 1))
-            pending_silent = 0
-            for t in range(num_rounds):
-                if indptr[t] == indptr[t + 1]:
-                    self._round += 1
-                    pending_silent += 1
-                    continue
-                if pending_silent:
-                    self._trace.append(
-                        RoundRecord(
-                            index=self._round, phase=phase, transmitters=(), deliveries={}, skipped=pending_silent
-                        )
-                    )
-                    pending_silent = 0
-                self._round += 1
-                lo, hi = bounds[t], bounds[t + 1]
-                self._trace.append(
-                    RoundRecord(
-                        index=self._round,
-                        phase=phase,
-                        transmitters=tuple(sorted(tx_uids[indptr[t] : indptr[t + 1]].tolist())),
-                        deliveries={
-                            int(r): int(s)
-                            for r, s in zip(receiver_uids[lo:hi], sender_uids[lo:hi])
-                        },
-                    )
-                )
-            if pending_silent:
-                self._trace.append(
-                    RoundRecord(index=self._round, phase=phase, transmitters=(), deliveries={}, skipped=pending_silent)
-                )
+        self._round += num_rounds
         return ScheduleDeliveries(
             num_rounds=num_rounds,
             round_ids=table.round_ids,
@@ -278,7 +223,7 @@ class SINRSimulator:
             sender_uids=sender_uids,
         )
 
-    def run_silent_rounds(self, count: int, phase: str = "idle") -> None:
+    def run_silent_rounds(self, count: int) -> None:
         """Advance the round counter by ``count`` rounds with no transmissions.
 
         Algorithms that synchronize on a global round counter sometimes need
@@ -288,21 +233,10 @@ class SINRSimulator:
         if count < 0:
             raise ValueError("count must be non-negative")
         self._round += count
-        if self._trace is not None and count > 0:
-            self._trace.append(
-                RoundRecord(index=self._round, phase=phase, transmitters=(), deliveries={}, skipped=count)
-            )
 
     # ------------------------------------------------------------------ #
     # Wakefulness helpers (non-spontaneous wake-up model).
     # ------------------------------------------------------------------ #
-
-    def _set_awake(self, indices: Sequence[int], value: bool) -> None:
-        """Flip wake state on the mask and mirror it onto the Node objects."""
-        self._awake[indices] = value
-        nodes = self._network.nodes
-        for index in indices:
-            nodes[index].awake = value
 
     def sleeping_nodes(self) -> List[int]:
         """IDs of nodes that are currently asleep."""
@@ -318,12 +252,10 @@ class SINRSimulator:
         mask = np.zeros(len(self._awake), dtype=bool)
         mask[keep] = True
         self._awake = mask
-        for node, awake in zip(self._network.nodes, mask):
-            node.awake = bool(awake)
 
     def wake(self, uids: Iterable[int]) -> None:
         """Mark the given nodes awake."""
-        self._set_awake(self._network.indices_of(uids), True)
+        self._awake[self._network.indices_of(uids)] = True
 
     def is_awake(self, uid: int) -> bool:
         """Whether node ``uid`` is awake."""

@@ -10,8 +10,8 @@ that every message a protocol emits stays within the model's limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)

@@ -270,7 +270,6 @@ def run_schedule(
         tx_round_ids,
         tx_uids,
         listeners=listeners,
-        phase=phase,
         wake_on_reception=wake_on_reception,
     )
     return _from_deliveries(deliveries, len(schedule), tx_round_ids, tx_uids, factory)
@@ -329,7 +328,6 @@ def run_cluster_schedule(
         tx_round_ids,
         tx_uids,
         listeners=listeners,
-        phase=phase,
         wake_on_reception=wake_on_reception,
     )
     return _from_deliveries(deliveries, len(schedule), tx_round_ids, tx_uids, factory)
@@ -357,7 +355,6 @@ def run_round_robin(
         tx_round_ids,
         tx_uids,
         listeners=listeners,
-        phase=phase,
         wake_on_reception=wake_on_reception,
     )
     return _from_deliveries(deliveries, len(tx_uids), tx_round_ids, tx_uids, factory)

@@ -23,7 +23,6 @@ from .backends import (
 from .metric import doubling_dimension_estimate
 from .model import NUMERIC_TOLERANCE, SINRParameters, log_star
 from .network import WirelessNetwork
-from .node import Node
 
 __all__ = [
     "BACKENDS",
@@ -32,7 +31,6 @@ __all__ = [
     "DenseMatrixBackend",
     "LazyBlockBackend",
     "NUMERIC_TOLERANCE",
-    "Node",
     "PhysicsBackend",
     "make_backend",
     "Reception",

@@ -20,7 +20,7 @@ Every generator takes an explicit ``seed`` and returns a fully constructed
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 

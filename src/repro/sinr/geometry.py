@@ -138,18 +138,6 @@ def cluster_density(cluster_of: Mapping[int, int]) -> int:
     return max(sizes.values())
 
 
-def neighbors_within(positions: np.ndarray, radius: float) -> List[List[int]]:
-    """Adjacency lists of the geometric graph with edge threshold ``radius``."""
-    positions = np.asarray(positions, dtype=float)
-    tree = cKDTree(positions)
-    pairs = tree.query_pairs(r=radius + NUMERIC_TOLERANCE, output_type="ndarray")
-    adjacency: List[List[int]] = [[] for _ in range(len(positions))]
-    for u, v in pairs:
-        adjacency[int(u)].append(int(v))
-        adjacency[int(v)].append(int(u))
-    return adjacency
-
-
 @dataclass(frozen=True)
 class ClosePair:
     """A close pair (Definition 1): indices, their distance and cluster."""
@@ -284,33 +272,3 @@ def minimum_pairwise_distance(positions: np.ndarray) -> float:
     tree = cKDTree(positions)
     dists, _ = tree.query(positions, k=2)
     return float(np.min(dists[:, 1]))
-
-
-def bounding_box(positions: np.ndarray) -> Tuple[float, float, float, float]:
-    """Axis-aligned bounding box ``(xmin, ymin, xmax, ymax)`` of the node set."""
-    positions = np.asarray(positions, dtype=float)
-    if len(positions) == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    mins = positions.min(axis=0)
-    maxs = positions.max(axis=0)
-    return (float(mins[0]), float(mins[1]), float(maxs[0]), float(maxs[1]))
-
-
-def graph_diameter_hops(adjacency: Sequence[Sequence[int]], source: int = 0) -> int:
-    """Eccentricity of ``source`` in hops (BFS); used to size deployments."""
-    n = len(adjacency)
-    seen = [False] * n
-    seen[source] = True
-    frontier = [source]
-    depth = 0
-    while frontier:
-        nxt: List[int] = []
-        for u in frontier:
-            for v in adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(v)
-        if nxt:
-            depth += 1
-        frontier = nxt
-    return depth

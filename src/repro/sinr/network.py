@@ -29,13 +29,17 @@ are the *single* mutation API for time-varying scenarios
 incrementally and routes through ``_invalidate_geometry_caches()``, so the
 cached communication graph, uid lookup table and measured density bound can
 never serve stale answers.  A :class:`~repro.simulation.engine.SINRSimulator`
-snapshots the placement at construction -- build a fresh simulator after
+snapshots the uid array at construction -- build a fresh simulator after
 mutating (the epoch runner does exactly that).
+
+The network keeps no per-execution state: node state is the index-aligned
+uid and position arrays, and wake-up belongs to the simulator of one run,
+so a run leaves the network exactly as it found it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -44,7 +48,6 @@ from scipy.spatial import cKDTree
 from .backends import DenseMatrixBackend, PhysicsBackend, make_backend
 from .geometry import unit_ball_density
 from .model import NUMERIC_TOLERANCE, SINRParameters
-from .node import Node
 
 
 class WirelessNetwork:
@@ -124,7 +127,7 @@ class WirelessNetwork:
         delta_bound: Optional[int],
         positions: Optional[np.ndarray],
     ) -> None:
-        """Validate IDs and set up the node table and the knowledge bounds."""
+        """Validate IDs and set up the uid arrays and the knowledge bounds."""
         self._params = params or SINRParameters.default()
         if n == 0:
             raise ValueError("a network needs at least one node")
@@ -145,12 +148,7 @@ class WirelessNetwork:
             raise ValueError("id_space must be at least the largest node ID")
 
         self._positions: Optional[np.ndarray] = positions
-        xy = positions if positions is not None else np.full((n, 2), np.nan)
-        self._nodes: List[Node] = [
-            Node(uid=uid, index=i, position=(float(xy[i, 0]), float(xy[i, 1])))
-            for i, uid in enumerate(uids)
-        ]
-        self._uid_to_index: Dict[int, int] = {node.uid: node.index for node in self._nodes}
+        self._uid_to_index: Dict[int, int] = {uid: i for i, uid in enumerate(uids)}
         self._uid_array = np.array(uids, dtype=int)
         self._id_space = int(id_space)
         self._uid_lookup: Optional[np.ndarray] = None
@@ -187,15 +185,15 @@ class WirelessNetwork:
     @property
     def size(self) -> int:
         """Number of nodes ``n``."""
-        return len(self._nodes)
+        return len(self._uid_array)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._uid_array)
 
     @property
     def uids(self) -> List[int]:
         """All node IDs, in index order."""
-        return [node.uid for node in self._nodes]
+        return self._uid_array.tolist()
 
     # ------------------------------------------------------------------ #
     # Simulator-facing accessors.
@@ -206,22 +204,13 @@ class WirelessNetwork:
         """The SINR physics backend for this placement."""
         return self._physics
 
-    @property
-    def nodes(self) -> List[Node]:
-        """The node objects, in index order."""
-        return self._nodes
-
-    def node(self, uid: int) -> Node:
-        """The node with identifier ``uid``."""
-        return self._nodes[self._uid_to_index[uid]]
-
     def index_of(self, uid: int) -> int:
         """Dense index of the node with identifier ``uid``."""
         return self._uid_to_index[uid]
 
     def uid_of(self, index: int) -> int:
         """Identifier of the node at dense index ``index``."""
-        return self._nodes[index].uid
+        return int(self._uid_array[index])
 
     @property
     def uid_array(self) -> np.ndarray:
@@ -283,8 +272,8 @@ class WirelessNetwork:
 
     def position_of(self, uid: int) -> Tuple[float, float]:
         """Coordinates of node ``uid`` (analysis only)."""
-        self._require_positions("position_of")
-        return self._nodes[self._uid_to_index[uid]].position
+        x, y = self._require_positions("position_of")[self._uid_to_index[uid]]
+        return float(x), float(y)
 
     def distance(self, uid_a: int, uid_b: int) -> float:
         """Distance between two nodes (by ID), Euclidean or metric."""
@@ -373,8 +362,8 @@ class WirelessNetwork:
 
         The physics backend is updated *incrementally* (only the gain
         rows/columns of the moved nodes are recomputed) and all geometry
-        caches are invalidated.  Simulators built before the move keep
-        executing on the old wake/uid snapshot -- build a new one per epoch.
+        caches are invalidated.  Build a new simulator per epoch, as after
+        any mutation.
         """
         positions = self._require_positions("move_nodes")
         uid_list = [int(u) for u in uids]
@@ -386,8 +375,6 @@ class WirelessNetwork:
         indices = self.indices_of(uid_list)
         self._physics.update_positions(indices, new_xy)
         positions[indices] = new_xy
-        for i, index in enumerate(indices):
-            self._nodes[index].position = (float(new_xy[i, 0]), float(new_xy[i, 1]))
         self._invalidate_geometry_caches()
 
     def add_nodes(
@@ -422,14 +409,7 @@ class WirelessNetwork:
         old_n = self.size
         self._physics.add_nodes(new_xy)
         self._positions = np.vstack([old_xy, new_xy])
-        for i, uid in enumerate(uid_list):
-            node = Node(
-                uid=uid,
-                index=old_n + i,
-                position=(float(new_xy[i, 0]), float(new_xy[i, 1])),
-            )
-            self._nodes.append(node)
-            self._uid_to_index[uid] = node.index
+        self._uid_to_index.update((uid, old_n + i) for i, uid in enumerate(uid_list))
         self._uid_array = np.concatenate([self._uid_array, np.array(uid_list, dtype=int)])
         self._id_space = max(self._id_space, max(uid_list))
         self._invalidate_geometry_caches()
@@ -454,31 +434,9 @@ class WirelessNetwork:
         keep = np.setdiff1d(np.arange(self.size), indices)
         self._physics.remove_nodes(indices)
         self._positions = positions[keep]
-        self._nodes = [self._nodes[int(i)] for i in keep]
-        for new_index, node in enumerate(self._nodes):
-            node.index = new_index
-        self._uid_to_index = {node.uid: node.index for node in self._nodes}
         self._uid_array = self._uid_array[keep]
+        self._uid_to_index = {uid: i for i, uid in enumerate(self._uid_array.tolist())}
         self._invalidate_geometry_caches()
-
-    # ------------------------------------------------------------------ #
-    # Cluster bookkeeping helpers (used by algorithms to publish results
-    # and by analysis to validate them).
-    # ------------------------------------------------------------------ #
-
-    def cluster_assignment(self) -> Dict[int, Optional[int]]:
-        """Mapping ``uid -> cluster`` for all nodes."""
-        return {node.uid: node.cluster for node in self._nodes}
-
-    def set_cluster_assignment(self, assignment: Mapping[int, int]) -> None:
-        """Install a cluster assignment (``uid -> cluster``)."""
-        for uid, cluster in assignment.items():
-            self.node(uid).cluster = int(cluster)
-
-    def reset_protocol_state(self) -> None:
-        """Clear per-execution node state before running a new algorithm."""
-        for node in self._nodes:
-            node.reset_protocol_state()
 
     # ------------------------------------------------------------------ #
     # Internal helpers.
@@ -486,7 +444,7 @@ class WirelessNetwork:
 
     def _build_communication_graph(self) -> nx.Graph:
         graph = nx.Graph()
-        graph.add_nodes_from(node.uid for node in self._nodes)
+        graph.add_nodes_from(self._uid_array.tolist())
         reach = self._params.communication_radius + NUMERIC_TOLERANCE
         if self._positions is None:
             pairs = np.argwhere(np.triu(self._physics.distances <= reach, k=1))

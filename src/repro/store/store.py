@@ -35,14 +35,14 @@ import os
 import shutil
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
 from .. import __version__
 from ..api.executor import RunResult
 from ..api.specs import RunSpec
-from .hashing import STORE_FORMAT_VERSION, spec_key, spec_kind
+from .hashing import STORE_FORMAT_VERSION, spec_key
 from .locking import FileLock, pid_alive
 
 __all__ = ["ExperimentStore", "StoreError", "StoreIntegrityError", "resolve_store"]

@@ -346,10 +346,10 @@ class TestSimulatorBatchPath:
         ]
         batch_sim = SINRSimulator(network_a)
         loop_sim = SINRSimulator(network_b)
-        batched = run_rounds(batch_sim, rounds, phase="x")
+        batched = run_rounds(batch_sim, rounds)
         for tx_uids, batched_round in zip(rounds, batched):
             delivered = loop_sim.run_round(
-                {uid: Message(sender=uid, tag="x") for uid in tx_uids}, phase="x"
+                {uid: Message(sender=uid, tag="x") for uid in tx_uids}
             )
             assert dict(batched_round) == {
                 listener: message.sender for listener, message in delivered.items()
@@ -381,13 +381,10 @@ class TestSimulatorBatchPath:
 
     def test_run_schedule_charges_silent_rounds(self):
         network = deployment.line(3)
-        sim = SINRSimulator(network, record_trace=True)
-        run_rounds(sim, [[], [network.uids[0]], [], []], phase="s")
+        sim = SINRSimulator(network)
+        run_rounds(sim, [[], [network.uids[0]], [], []])
         assert sim.current_round == 4
-        records = sim.trace.records
-        assert records[0].skipped == 1
-        assert records[1].transmitters == (network.uids[0],)
-        assert records[2].skipped == 2
+        assert sim.messages_sent == 1
 
 
 class TestBackendSelection:

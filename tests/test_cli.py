@@ -12,8 +12,7 @@ import json
 import pytest
 
 from repro.api import RunSpec
-from repro.cli import _config_for, build_parser, main
-from repro.core import AlgorithmConfig
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -341,11 +340,3 @@ class TestDynamicCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "at most one seed" in captured.err
-
-
-class TestShims:
-    def test_config_for_still_resolves_presets(self):
-        assert _config_for("fast") == AlgorithmConfig.fast()
-        assert _config_for("default") == AlgorithmConfig()
-        with pytest.raises(ValueError, match="unknown config preset"):
-            _config_for("warp")

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.validation import validate_clustering
-from repro.core import AlgorithmConfig, build_clustering
+from repro.core import build_clustering
 from repro.simulation import SINRSimulator
 from repro.sinr import deployment
 
@@ -40,11 +38,6 @@ class TestClusteringOnHotspots:
         _, result = clustering_on_hotspots
         assert result.sparse_roots
         assert result.sparse_roots <= set(hotspot_network.uids)
-
-    def test_cluster_assignment_published_on_nodes(self, clustering_on_hotspots, hotspot_network):
-        _, result = clustering_on_hotspots
-        for uid in hotspot_network.uids:
-            assert hotspot_network.node(uid).cluster == result.cluster_of[uid]
 
     def test_level_stats_describe_monotone_shrinkage(self, clustering_on_hotspots):
         _, result = clustering_on_hotspots

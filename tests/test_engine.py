@@ -1,4 +1,4 @@
-"""Tests for the round engine, messages and traces (repro.simulation)."""
+"""Tests for the round engine and messages (repro.simulation)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.simulation.engine import SINRSimulator
 from repro.simulation.messages import Message, message_bits
-from repro.simulation.trace import ExecutionTrace, RoundRecord
 from repro.sinr.network import WirelessNetwork
 
 
@@ -115,32 +114,7 @@ class TestWakefulness:
         assert sim.is_awake(3)
         assert not sim.is_awake(4)
 
-
-class TestTrace:
-    def test_trace_records_rounds(self):
-        sim = SINRSimulator(path_network(), record_trace=True)
-        sim.run_round({1: Message(sender=1)}, phase="seed")
-        sim.run_silent_rounds(3, phase="idle")
-        trace = sim.trace
-        assert trace is not None
-        assert len(trace) == 2
-        assert trace.phases() == ["seed", "idle"]
-        assert trace.records[0].transmitters == (1,)
-        assert trace.records[1].skipped == 3
-
-    def test_trace_queries(self):
-        trace = ExecutionTrace()
-        trace.append(RoundRecord(index=1, phase="a", transmitters=(1,), deliveries={2: 1}))
-        trace.append(RoundRecord(index=2, phase="b", transmitters=(3,), deliveries={}))
-        assert trace.first_delivery_to(2).index == 1
-        assert trace.first_delivery_to(9) is None
-        assert trace.deliveries_from(1) == [(1, 2)]
-        assert trace.total_transmissions() == 2
-        assert trace.total_deliveries() == 1
-        summary = trace.summary()
-        assert summary["rounds"] == 2
-        assert summary["deliveries"] == 1
-
-    def test_no_trace_by_default(self):
-        sim = SINRSimulator(path_network())
-        assert sim.trace is None
+    def test_wake_state_belongs_to_one_simulator(self):
+        network = path_network()
+        SINRSimulator(network).put_all_to_sleep(except_for=[2])
+        assert SINRSimulator(network).sleeping_nodes() == []

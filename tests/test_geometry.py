@@ -16,10 +16,8 @@ from repro.sinr.geometry import (
     cluster_density,
     distance,
     find_close_pairs,
-    graph_diameter_hops,
     has_close_pair_in_ball,
     minimum_pairwise_distance,
-    neighbors_within,
     pairwise_distances,
     unit_ball_density,
 )
@@ -179,19 +177,3 @@ class TestClosePairs:
         for pair in pairs:
             assert matrix[pair.first].min() == pytest.approx(pair.distance)
             assert matrix[pair.second].min() == pytest.approx(pair.distance)
-
-
-class TestGraphHelpers:
-    def test_neighbors_within_radius(self):
-        points = np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
-        adjacency = neighbors_within(points, radius=1.0)
-        assert 1 in adjacency[0]
-        assert 2 not in adjacency[0]
-
-    def test_graph_diameter_hops_path(self):
-        adjacency = [[1], [0, 2], [1, 3], [2]]
-        assert graph_diameter_hops(adjacency, source=0) == 3
-
-    def test_graph_diameter_hops_disconnected(self):
-        adjacency = [[1], [0], []]
-        assert graph_diameter_hops(adjacency, source=0) == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import AlgorithmConfig, global_broadcast, sms_broadcast
+from repro.core import global_broadcast, sms_broadcast
 from repro.simulation import SINRSimulator
 from repro.sinr import deployment
 

@@ -8,7 +8,6 @@ hypothesis-generated placements (kept small so the full suite stays fast).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.validation import cluster_members, cluster_radius, validate_clustering
+from repro.analysis.validation import validate_clustering
 from repro.core import AlgorithmConfig, imperfect_labeling, reduce_radius
 from repro.simulation import SINRSimulator
 from repro.sinr import deployment

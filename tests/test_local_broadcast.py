@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.validation import local_broadcast_served, validate_clustering
-from repro.core import AlgorithmConfig, local_broadcast
+from repro.core import local_broadcast
 from repro.simulation import SINRSimulator
 from repro.sinr import deployment
 

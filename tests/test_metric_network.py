@@ -87,13 +87,6 @@ class TestMetricNetwork:
         with pytest.raises(ValueError):
             WirelessNetwork.from_distances(line_metric(3), uids=[1, 2, 50], id_space=10)
 
-    def test_cluster_bookkeeping(self):
-        network = WirelessNetwork.from_distances(line_metric(3))
-        network.set_cluster_assignment({1: 5, 2: 5, 3: 6})
-        assert network.cluster_assignment() == {1: 5, 2: 5, 3: 6}
-        network.reset_protocol_state()
-        assert all(c is None for c in network.cluster_assignment().values())
-
     def test_describe(self):
         assert "WirelessNetwork(n=3" in WirelessNetwork.from_distances(line_metric(3)).describe()
 

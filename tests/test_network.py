@@ -1,4 +1,4 @@
-"""Tests for WirelessNetwork and Node (repro.sinr.network / node)."""
+"""Tests for WirelessNetwork (repro.sinr.network)."""
 
 from __future__ import annotations
 
@@ -7,32 +7,10 @@ import pytest
 
 from repro.sinr.model import SINRParameters
 from repro.sinr.network import WirelessNetwork
-from repro.sinr.node import Node
 
 
 def line_positions(n: int, spacing: float = 0.7) -> np.ndarray:
     return np.column_stack([np.arange(n) * spacing, np.zeros(n)])
-
-
-class TestNode:
-    def test_rejects_nonpositive_uid(self):
-        with pytest.raises(ValueError):
-            Node(uid=0, index=0, position=(0.0, 0.0))
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            Node(uid=1, index=-1, position=(0.0, 0.0))
-
-    def test_reset_protocol_state(self):
-        node = Node(uid=1, index=0, position=(0.0, 0.0), cluster=3, label=2, awake=False)
-        node.metadata["x"] = 1
-        node.reset_protocol_state()
-        assert node.cluster is None and node.label is None and node.awake
-        assert node.metadata == {}
-
-    def test_describe(self):
-        node = Node(uid=7, index=0, position=(0.0, 0.0))
-        assert "uid=7" in node.describe()
 
 
 class TestConstruction:
@@ -121,17 +99,6 @@ class TestCommunicationGraph:
 
 
 class TestClusterBookkeeping:
-    def test_set_and_read_cluster_assignment(self):
-        network = WirelessNetwork(line_positions(3))
-        network.set_cluster_assignment({1: 7, 2: 7, 3: 9})
-        assert network.cluster_assignment() == {1: 7, 2: 7, 3: 9}
-
-    def test_reset_protocol_state_clears_clusters(self):
-        network = WirelessNetwork(line_positions(3))
-        network.set_cluster_assignment({1: 7, 2: 7, 3: 9})
-        network.reset_protocol_state()
-        assert all(c is None for c in network.cluster_assignment().values())
-
     def test_positions_read_only(self):
         network = WirelessNetwork(line_positions(3))
         with pytest.raises(ValueError):

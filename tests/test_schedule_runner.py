@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.selectors.ssf import TransmissionSchedule, round_robin_schedule
 from repro.selectors.wcss import ClusterAwareSchedule
 from repro.simulation.engine import SINRSimulator
 from repro.simulation.messages import Message
-from repro.simulation.metrics import ExperimentSample, RoundMeter, summarize_samples
-from repro.simulation.protocol import NodeProtocol, run_protocol
 from repro.simulation.schedule import run_cluster_schedule, run_round_robin, run_schedule
 from repro.sinr.network import WirelessNetwork
 
@@ -155,76 +152,3 @@ class TestColumnarResultViews:
             (t, uid) for t, allowed in enumerate(schedule.rounds) for uid in sorted(allowed & {2, 4})
         ]
 
-
-class TestProtocolDriver:
-    def test_simple_flood_protocol(self):
-        network = path_network(4)
-        sim = SINRSimulator(network)
-
-        class Flood(NodeProtocol):
-            def __init__(self, uid, informed):
-                super().__init__(uid)
-                self.informed = informed
-
-            def on_round(self, round_number):
-                if self.informed:
-                    return Message(sender=self.uid, tag="flood")
-                return None
-
-            def on_receive(self, round_number, message):
-                self.informed = True
-
-            def finished(self):
-                return self.informed
-
-        protocols = {uid: Flood(uid, informed=(uid == 1)) for uid in network.uids}
-        outcome = run_protocol(sim, protocols, max_rounds=50, only_awake=False)
-        assert outcome.completed
-        assert all(p.informed for p in protocols.values())
-
-    def test_round_limit_respected(self):
-        network = path_network(3)
-        sim = SINRSimulator(network)
-
-        class Silent(NodeProtocol):
-            def on_round(self, round_number):
-                return None
-
-        protocols = {uid: Silent(uid) for uid in network.uids}
-        outcome = run_protocol(sim, protocols, max_rounds=7)
-        assert outcome.rounds == 7
-        assert not outcome.completed
-
-    def test_rejects_nonpositive_round_limit(self):
-        sim = SINRSimulator(path_network(2))
-        with pytest.raises(ValueError):
-            run_protocol(sim, {}, max_rounds=0)
-
-
-class TestMetrics:
-    def test_round_meter_stages(self):
-        network = path_network(3)
-        sim = SINRSimulator(network)
-        meter = RoundMeter(sim)
-        with meter.stage("a"):
-            sim.run_round({1: Message(sender=1)})
-        with meter.stage("b"):
-            sim.run_silent_rounds(5)
-        assert meter.rounds_of("a") == 1
-        assert meter.rounds_of("b") == 5
-        assert meter.total_rounds() == 6
-        assert meter.report()["a"]["messages_sent"] == 1
-        assert meter.rounds_of("missing") == 0
-
-    def test_summarize_samples(self):
-        samples = [
-            ExperimentSample(parameters={"n": 1}, rounds=10, messages_sent=5),
-            ExperimentSample(parameters={"n": 2}, rounds=20, messages_sent=15),
-        ]
-        summary = summarize_samples(samples)
-        assert summary["rounds"] == pytest.approx(15.0)
-        assert summary["messages_sent"] == pytest.approx(10.0)
-
-    def test_summarize_samples_rejects_empty(self):
-        with pytest.raises(ValueError, match="zero samples"):
-            summarize_samples([])

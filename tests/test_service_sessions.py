@@ -18,9 +18,12 @@ import threading
 import pytest
 
 from repro import api
+from repro.api.executor import build_deployment
+from repro.api.specs import AlgorithmSpec, DeploymentSpec, RunSpec
 from repro.service import ServiceConfig, ServiceError
 from repro.service import app as service_app
-from repro.service.sessions import replay_log
+from repro.service.sessions import network_fingerprint, replay_log
+from repro.store import ExperimentStore
 from repro.testing import ServiceHarness
 
 pytestmark = pytest.mark.service
@@ -256,8 +259,6 @@ class TestSerialReplay:
         client.session_run("serial", ALGORITHM)
         log = client.session("serial", log=True)["log"]
 
-        from repro.api.specs import DeploymentSpec
-
         replayed = replay_log(DeploymentSpec.from_dict(DEPLOYMENT), log)
         assert len(replayed) == len(log)
         for live, again in zip(log, replayed):
@@ -265,6 +266,64 @@ class TestSerialReplay:
             if live["op"] == "run":
                 assert live["fingerprint"] == again["fingerprint"]
                 assert live["digest"] == again["digest"]
+
+
+#: A global broadcast on this placement misses some nodes, so a cold run
+#: ends with sleepers in its simulator.
+PARTIAL_BROADCAST = {"kind": "uniform", "params": {"nodes": 30, "area": 12.0}, "seed": 3}
+GLOBAL_BROADCAST = {"name": "global-broadcast", "preset": "fast"}
+
+
+class TestRunsLeaveNoState:
+    """A run, cold or loaded from the store, leaves the network as it found it."""
+
+    def test_cold_run_and_store_hit_leave_equal_fingerprints(self, tmp_path):
+        deployment = DeploymentSpec.from_dict(PARTIAL_BROADCAST)
+        spec = RunSpec(deployment=deployment, algorithm=AlgorithmSpec.from_dict(GLOBAL_BROADCAST))
+        store = ExperimentStore(tmp_path / "store")
+        api.run_on_network(build_deployment(deployment), spec, store=store)
+
+        cold = build_deployment(deployment)
+        cold_result = api.run_on_network(cold, spec, cache="off")
+        warm = build_deployment(deployment)
+        warm_result = api.run_on_network(warm, spec, store=store)
+
+        assert cold_result.checks == {"reached_all": False}
+        assert warm_result.cached and not cold_result.cached
+        assert network_fingerprint(cold) == network_fingerprint(warm)
+
+    def test_replay_reproduces_a_warm_session(self, client):
+        client.create_session("gb-seed", PARTIAL_BROADCAST)
+        client.session_run("gb-seed", GLOBAL_BROADCAST)
+        client.create_session("gb-warm", PARTIAL_BROADCAST)
+        runs = [client.session_run("gb-warm", GLOBAL_BROADCAST) for _ in range(2)]
+        assert all(run["cached"] for run in runs)
+        log = client.session("gb-warm", log=True)["log"]
+
+        replayed = replay_log(DeploymentSpec.from_dict(PARTIAL_BROADCAST), log)
+        assert [(e["op"], e["fingerprint"], e["digest"]) for e in log] == [
+            (e["op"], e["fingerprint"], e["digest"]) for e in replayed
+        ]
+
+
+class TestPinnedFingerprints:
+    """Fingerprints name stored session runs, so their bytes must not drift."""
+
+    def test_fresh_placement(self):
+        network = build_deployment(DeploymentSpec.from_dict(PARTIAL_BROADCAST))
+        assert network_fingerprint(network) == "3fc0bec5a5b43e94"
+
+    def test_placement_after_a_move(self):
+        network = build_deployment(DeploymentSpec.from_dict(PARTIAL_BROADCAST))
+        network.move_nodes([network.uids[0]], [[1.0, 2.0]])
+        assert network_fingerprint(network) == "1226c1bfa7c6c078"
+
+    def test_ball_session_after_a_completing_global_broadcast(self, client):
+        client.create_session("ball", {"kind": "ball", "params": {"nodes": 6, "radius": 0.5}})
+        run = client.session_run("ball", GLOBAL_BROADCAST, cache="off")
+        assert run["result"]["checks"] == {"reached_all": True}
+        assert run["fingerprint"] == "c6f12121ca353869"
+        assert client.session("ball")["fingerprint"] == "c6f12121ca353869"
 
 
 class TestInterleavedClientsSerializability:
@@ -316,8 +375,6 @@ class TestInterleavedClientsSerializability:
 
         # 2 runner clients x 3 runs + 2 mutator clients x 3 (move + step).
         assert len(log) == 2 * 3 + 2 * 3 * 2
-
-        from repro.api.specs import DeploymentSpec
 
         replayed = replay_log(DeploymentSpec.from_dict(DEPLOYMENT), log)
         for live, again in zip(log, replayed):

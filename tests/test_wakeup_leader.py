@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.core import AlgorithmConfig, elect_leader, solve_wakeup
+from repro.core import elect_leader, solve_wakeup
 from repro.simulation import SINRSimulator
 from repro.sinr import deployment
 
