@@ -344,7 +344,9 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.quick:
-        small_n, large_n, spatial_n = 1_500, 20_000, 5_000
+        # One n x n float64 gain matrix must exceed the 4 GB budget for the
+        # memory leg to show anything (n >= 22,400); 24k needs 4.6 GB.
+        small_n, large_n, spatial_n = 1_500, 24_000, 5_000
         broadcast_n, frontier_n = 2_000, 250_000
         rounds, per_round = 12, 16
         driver_rounds, driver_per_round = 256, 4

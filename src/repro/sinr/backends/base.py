@@ -19,7 +19,8 @@ Reception is evaluated in one place per backend:
 returns a columnar :class:`DeliveryTable`.  The generic implementation here
 is built on the single primitive :meth:`PhysicsBackend.gain_block` (the
 received-power sub-matrix for arbitrary sender/receiver index arrays) and
-serves dense and lazy; spatial overrides it.  It reduces all rounds of one
+serves dense and lazy; spatial overrides it, and runs its small-grid calls
+through the same grouped reduction.  It reduces all rounds of one
 transmitter count together, so its Python iterations scale with chunks x
 distinct round sizes, not with rounds.  Every backend first validates the
 schedule and listener indices (``_schedule_arrays``).
@@ -163,7 +164,8 @@ class PhysicsBackend(ABC):
     #: rows x listeners per :meth:`receptions_table` chunk here; keeps peak
     #: memory bounded even for long schedules over large deployments.  The
     #: spatial backend overrides it with a cache-sized budget (2^14 pairs)
-    #: for its exact-tail and far-bound pair lists.
+    #: for its exact-tail and far-bound pair lists; its block-form calls
+    #: keep this one.
     _BATCH_BLOCK_ELEMENTS = 4_000_000
 
     def __init__(self, params: SINRParameters) -> None:
@@ -384,22 +386,38 @@ class PhysicsBackend(ABC):
         a round's own transmitters never receive (half-duplex).  The result
         is a single columnar :class:`DeliveryTable`.
 
-        Rounds are cut into chunks of at most ``_BATCH_BLOCK_ELEMENTS``
-        gain elements, one :meth:`gain_block` call each.  Within a chunk
-        the entries are stably ordered by their round's transmitter count,
-        so the ``R`` rounds with ``k`` transmitters form one contiguous
-        ``(R, k, listeners)`` view that is reduced in a handful of NumPy
-        calls: Python iterates over chunks x distinct round sizes, never
-        over rounds.  ``sum(axis=1)`` over that C-contiguous view adds the
-        ``k`` rows in order, exactly as a per-round ``sum(axis=0)`` would,
-        so the SINR values do not depend on the grouping.
-
         This is the one reception routine a backend owns: :meth:`receptions`
-        wraps it for one round.  The generic implementation
-        only relies on :meth:`gain_block` (dense and lazy use it); the
-        spatial backend overrides it with its certified batched driver.
+        wraps it for one round.  The generic implementation is
+        :meth:`_block_table` under ``_BATCH_BLOCK_ELEMENTS``, which only
+        relies on :meth:`gain_block` (dense and lazy use it); the spatial
+        backend overrides this method with its certified batched driver
+        and sends small-grid calls to :meth:`_block_table` too.
         """
         tx_indptr, tx_members, rx = self._schedule_arrays(tx_indptr, tx_members, listeners)
+        return self._block_table(tx_indptr, tx_members, rx, self._BATCH_BLOCK_ELEMENTS)
+
+    def _block_table(
+        self,
+        tx_indptr: np.ndarray,
+        tx_members: np.ndarray,
+        rx: np.ndarray,
+        budget: int,
+    ) -> DeliveryTable:
+        """The grouped block reduction over validated schedule arrays.
+
+        Rounds are cut into chunks of at most ``budget`` gain elements,
+        one :meth:`gain_block` call each.  Within a chunk the entries are
+        stably ordered by their round's transmitter count, so the ``R``
+        rounds with ``k`` transmitters form one contiguous ``(R, k,
+        listeners)`` view that is reduced in a handful of NumPy calls:
+        Python iterates over chunks x distinct round sizes, never over
+        rounds.  Each listener's total power adds the ``k`` gains in
+        transmitter order: ``sum(axis=1)`` does so over a view with two or
+        more listeners, while over one listener the ``k`` gains are
+        contiguous and NumPy would sum them pairwise, so that case runs
+        ``np.add.accumulate`` instead.  The SINR values therefore depend
+        neither on the grouping nor on the listener pool.
+        """
         num_rounds = len(tx_indptr) - 1
         if rx.size == 0 or len(tx_members) == 0:
             return _empty_table(num_rounds)
@@ -417,7 +435,7 @@ class PhysicsBackend(ABC):
 
         # Chunk rounds so that (chunk transmitter entries) x (listeners)
         # stays within the block budget; a chunk holds at least one round.
-        for start, end in _budget_cuts(counts, max(1, self._BATCH_BLOCK_ELEMENTS // rx.size)):
+        for start, end in _budget_cuts(counts, max(1, budget // rx.size)):
             lo, hi = int(tx_indptr[start]), int(tx_indptr[end])
             if lo < hi:
                 sizes = counts[start:end]
@@ -439,7 +457,10 @@ class PhysicsBackend(ABC):
                     gains = block[row : row + num * k].reshape(num, k, rx.size)
                     tx = entries[row : row + num * k].reshape(num, k)
                     row += num * k
-                    total_power = gains.sum(axis=1)
+                    if rx.size > 1:
+                        total_power = gains.sum(axis=1)
+                    else:
+                        total_power = np.add.accumulate(gains, axis=1)[:, -1]
                     best_gain = gains.max(axis=1)
                     # Strongest transmitter == best SINR (see the module docstring).
                     best_sinr = best_gain / (noise + (total_power - best_gain))

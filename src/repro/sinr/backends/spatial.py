@@ -24,17 +24,19 @@ exploits that structure without ever approximating a result:
   actual receivers plus a thin threshold-marginal shell -- **fall back to
   exact summation** over the full transmitter set, evaluated with the same
   formulas as the dense backend.
-* The certificates are an optional pruning stage, chosen per batch by a
-  **cost rule**: exact evaluation of every candidate costs about
-  ``exact_est`` = sum over candidate tiles of listeners x round size
-  pairs, the ring-1 join alone ``join_est`` = sum over candidate tiles of
-  listeners x same-round transmitters in the tile's 3x3 block.  When
-  ``exact_est <= _EXACT_FIRST_RATIO * join_est`` -- small grids, where the
-  3x3 block holds most of each round, as in the paper's constant-density
-  schedules at n ~ 100 -- the batch skips the ladder and every candidate
-  goes to the exact tail; wide grids keep the ladder.  Both branches share
-  the exact tail, and a candidate's exact result depends only on its own
-  round, so the choice never changes a table.
+* The certificates are an optional pruning stage, chosen per
+  :meth:`~SpatialGridBackend.receptions_table` call by a **cost rule**.
+  The call's *block work* is entries x listeners, what the grouped block
+  reduction that dense and lazy run (:meth:`PhysicsBackend._block_table`)
+  evaluates; its *join estimate* is the sum over entries of the listeners
+  in the entry's 3x3 cell block, about what the ring-1 join alone costs.
+  When ``block work <= _EXACT_FIRST_RATIO * join estimate`` -- small
+  grids, where the 3x3 block holds a large share of the listeners, as in
+  the paper's constant-density schedules at n ~ 100 -- the whole call runs
+  in **block form**; wide grids run the certificate ladder.  Block form
+  computes its gains with the exact tail's own pair arithmetic and adds
+  each listener's gains in transmitter order, as the exact tail does, so
+  the choice never changes a table, bit for bit.
 
 The certificates are one-sided and sound: a listener is only dropped when
 an *upper bound* on its best achievable SINR is below ``beta -
@@ -52,16 +54,17 @@ strongest-transmitter resolution) are the NumPy primitives of
 **The batched round driver.**  A full algorithm execution issues ~10^5
 schedule rounds, and at 100k+ nodes each round's *physics* is cheap -- the
 cost floor is the fixed NumPy call overhead per round (argsort /
-searchsorted / unique on small arrays).  :meth:`receptions_table` therefore
-cuts the schedule into batches of consecutive CSR rounds -- at most
-``_BATCH_ENTRIES`` transmitter entries and ``_BATCH_ROUNDS`` rounds each,
+searchsorted / unique on small arrays).  A ladder call of
+:meth:`receptions_table` therefore cuts the schedule into batches of
+consecutive CSR rounds -- at most ``_BATCH_ENTRIES`` transmitter entries
+and ``_BATCH_ROUNDS`` rounds each,
 with the budget rule every backend chunks by -- and evaluates each batch
 through one composite-keyed pass (:meth:`_batch_core`): transmitters are
 keyed by ``round x tile``, candidates become unique ``(round, listener)``
-pairs, and every stage -- the cost rule, the 3x3 join, the ring shells,
+pairs, and every stage -- the 3x3 join, the ring shells,
 the grouped far-field bound and the segmented exact fallback -- runs once
-per batch instead of once per round.  It is the only spatial reception
-path: a single round (``receptions``) is a batch of one.  Every reduction is
+per batch instead of once per round.  It is the ladder's only path: a
+single round (``receptions``) is a batch of one.  Every reduction is
 grouped per segment (sequential per-segment accumulation, chunked only at
 segment boundaries), which makes the result **bit-identical** for every
 way of cutting the schedule: batching changes neither events nor reported
@@ -76,8 +79,9 @@ fancy row index: it copies the same values about ten times faster per
 transmitter) pair.  And the two pair-list loops -- the exact tail and the
 far-field bound -- cut their pair lists at candidate boundaries into
 chunks of at most ``_BATCH_BLOCK_ELEMENTS`` = 2^14 pairs, so the twenty
-or so temporaries of a chunk stay in cache.  Neither rule changes a
-value.
+or so temporaries of a chunk stay in cache; block form keeps the base's
+element budget, whose few temporaries per chunk are whole gain blocks.
+Neither rule changes a value.
 
 Soundness of the certificates (all bounds are cell-rectangle bounds, valid
 for any point positions inside the cells):
@@ -99,6 +103,7 @@ for any point positions inside the cells):
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,7 +117,6 @@ from .base import (
     _budget_cuts,
     _empty_table,
     check_node_indices,
-    gain_matrix,
 )
 
 #: Bound on the total number of grid cells, as a multiple of ``n``.  Very
@@ -157,7 +161,7 @@ class SpatialGridBackend(PhysicsBackend):
     #: through before the far-field bound (a 5x5 exact block at the widest).
     _MAX_RING = 2
 
-    #: Batch limits of :meth:`receptions_table`: at most this many schedule
+    #: Batch limits of a ladder call: at most this many schedule
     #: entries (transmitter slots) -- enough to amortize the per-call NumPy
     #: floors, small enough that the composite join temporaries stay
     #: cache-warm -- and at most this many rounds, which keeps composite
@@ -173,13 +177,17 @@ class SpatialGridBackend(PhysicsBackend):
     #: boundaries, so the budget never changes a result.
     _BATCH_BLOCK_ELEMENTS = 1 << 14
 
-    #: Cost rule of :meth:`_batch_core`: a batch skips the certificate
-    #: ladder and evaluates every candidate exactly when that exact work
-    #: (listeners x round size, summed over candidate tiles) is at most this
-    #: many times the ring-1 join (listeners x same-round transmitters in
-    #: each tile's 3x3 block).  0 forces the ladder, ``inf`` exact-first;
-    #: neither changes a result.
-    _EXACT_FIRST_RATIO = 4.0
+    #: Cost rule of :meth:`receptions_table`: a call runs in block form
+    #: (:meth:`PhysicsBackend._block_table`, no certificates) when its block
+    #: work (entries x listeners) is at most this many times its join
+    #: estimate (listeners in each entry's 3x3 cell block, summed over the
+    #: entries), and through the certificate ladder otherwise.  0 forces
+    #: the ladder, ``inf`` block form; neither changes a result.  32 was
+    #: the fastest of 0, 1, 2, 4, 8, 16, 32 and ``inf`` on replayed calls:
+    #: at ``perfbench paper`` density the ratio reads about 2.3 at n = 120,
+    #: 7.7 at n = 500 and 27 at n = 2000 (block form wins at all three),
+    #: and 33-68 on the n = 3000 calls of ``wide-rounds`` (the ladder wins).
+    _EXACT_FIRST_RATIO = 32.0
 
     def __init__(self, positions: np.ndarray, params: SINRParameters) -> None:
         super().__init__(params)
@@ -194,7 +202,9 @@ class SpatialGridBackend(PhysicsBackend):
         # Bumped on every mutation of positions / cell assignments; guards
         # the cached listener bucketing (see _bucket_listeners).
         self._grid_version = 0
-        self._listener_cache: Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = None
+        self._listener_cache: Optional[
+            Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+        ] = None
         # Cumulative certification counters (across all queries since
         # construction -- the existing observability contract).
         self._stats = {
@@ -207,16 +217,17 @@ class SpatialGridBackend(PhysicsBackend):
             "exact": 0,
             "near_pairs": 0,
         }
-        # Batch-driver counters, reset at the start of every
-        # receptions_table call so they describe exactly the last run:
+        # Per-call counters, reset at the start of every receptions_table
+        # call so they describe exactly the last run: a block-form call sets
+        # calls_block_form to 1 and leaves the rest 0; otherwise
         # rounds_fused + rounds_single + rounds_empty == num_rounds.
         self._batch_stats = {
+            "calls_block_form": 0,
             "batches": 0,
             "rounds_fused": 0,
             "rounds_single": 0,
             "rounds_empty": 0,
             "join_entries": 0,
-            "batches_exact_first": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -224,27 +235,48 @@ class SpatialGridBackend(PhysicsBackend):
     # ------------------------------------------------------------------ #
 
     def gain_block(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-        """Gain sub-matrix computed straight from positions (dense conventions)."""
+        """Gain sub-matrix computed straight from positions (dense conventions).
+
+        Each distinct sender's row is computed once, with the pair
+        arithmetic of :meth:`_exact_eval_segments` (``tx - rx``, ``dx * dx +
+        dy * dy``, :func:`~repro.sinr.backends._kernels.dist_pow`, the
+        co-located clamp), and the rows are then taken in sender order: so
+        block form and the certificate ladder see the same gains, bit for
+        bit.
+        """
         senders = np.asarray(senders, dtype=np.int64)
         receivers = np.asarray(receivers, dtype=np.int64)
-        gains = gain_matrix(self._positions[senders], self._positions[receivers], self._params)
-        gains[senders[:, None] == receivers[None, :]] = 0.0
-        return gains
+        uniq, inv = np.unique(senders, return_inverse=True)
+        txy = self._positions.take(uniq, axis=0)
+        rxy = self._positions.take(receivers, axis=0)
+        # In place where the values allow: the same operations, fewer
+        # (senders x receivers) temporaries.
+        dist_sq = txy[:, 0:1] - rxy[:, 0]
+        dy = txy[:, 1:2] - rxy[:, 1]
+        dist_sq *= dist_sq
+        dy *= dy
+        dist_sq += dy
+        gains = _kernels.dist_pow(dist_sq, self._params.alpha)
+        with np.errstate(divide="ignore"):
+            np.divide(self._params.power, gains, out=gains)
+        # Zero distance: a self-pair (gain 0) or a co-located pair (clamped).
+        i, j = np.nonzero(np.isinf(gains))
+        gains[i, j] = np.where(uniq[i] == receivers[j], 0.0, COLOCATED_GAIN)
+        return gains.take(inv, axis=0)
 
     def grid_info(self) -> Dict[str, object]:
-        """Grid geometry, certification counters and batch-driver counters.
+        """Grid geometry, certification counters and per-call counters.
 
         Certification counters (``rounds`` .. ``near_pairs``) are cumulative
-        across the backend's lifetime; the batch counters (``batches``,
+        across the backend's lifetime and move only on the certificate
+        ladder.  The per-call counters (``calls_block_form``, ``batches``,
         ``rounds_fused``, ``rounds_single``, ``rounds_empty``,
-        ``join_entries``, ``batches_exact_first``) describe only the most
-        recent :meth:`receptions_table` call and satisfy ``rounds_fused +
-        rounds_single + rounds_empty == num_rounds`` for that call:
-        ``rounds_single`` counts non-empty rounds that were the only
-        non-empty round of their batch, ``rounds_fused`` the rest.
-        ``batches_exact_first`` counts the batches the cost rule sent
-        straight to exact evaluation (the rest of the batches with
-        candidates ran the certificate ladder).
+        ``join_entries``) describe only the most recent
+        :meth:`receptions_table` call.  ``calls_block_form`` is 1 when the
+        cost rule ran that call in block form, which moves no other
+        counter; otherwise ``rounds_fused + rounds_single + rounds_empty ==
+        num_rounds``: ``rounds_single`` counts non-empty rounds that were
+        the only non-empty round of their batch, ``rounds_fused`` the rest.
         """
         self._ensure_grid()
         ncx, ncy = self._shape  # type: ignore[misc]
@@ -548,15 +580,18 @@ class SpatialGridBackend(PhysicsBackend):
     # The batched schedule driver.
     # ------------------------------------------------------------------ #
 
-    def _bucket_listeners(self, rx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Sort the listener pool by cell id: (sorted cells, matching rx-locals).
+    def _bucket_listeners(self, rx: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bucket the listener pool by cell id.
 
-        Algorithm runs issue many schedule evaluations over the *same*
-        listener pool, so the bucketing (an O(|rx| log |rx|) argsort) is
-        memoized for the last pool seen.  The cache key includes
-        ``_grid_version``, which every placement mutation bumps -- a moved
-        node lands in a fresh bucketing, never a stale one (unit-tested via
-        ``move_nodes``).
+        Returns ``(sorted cells, matching rx-locals, block listeners)``:
+        the pool sorted by cell, and per cell the number of listeners in
+        its 3x3 cell block (a box sum of the per-cell counts), which the
+        cost rule gathers at the transmitters' cells.  Algorithm runs issue
+        many schedule evaluations over the *same* listener pool, so the
+        bucketing (an O(|rx| log |rx|) argsort) is memoized for the last
+        pool seen.  The cache key includes ``_grid_version``, which every
+        placement mutation bumps -- a moved node lands in a fresh
+        bucketing, never a stale one (unit-tested via ``move_nodes``).
         """
         cached = self._listener_cache
         if (
@@ -565,11 +600,16 @@ class SpatialGridBackend(PhysicsBackend):
             and cached[1].shape == rx.shape
             and np.array_equal(cached[1], rx)
         ):
-            return cached[2], cached[3]
+            return cached[2], cached[3], cached[4]
+        ncx, ncy = self._shape  # type: ignore[misc]
         cells = self._cell_of[rx]
         order = np.argsort(cells, kind="stable")
-        result = (cells[order], order.astype(np.int64))
-        self._listener_cache = (self._grid_version, rx.copy(), result[0], result[1])
+        padded = np.pad(np.bincount(cells, minlength=ncx * ncy).reshape(ncx, ncy), 1)
+        block = np.zeros((ncx, ncy), dtype=np.int64)
+        for dx, dy in self._block_arr(1):
+            block += padded[1 + dx : 1 + dx + ncx, 1 + dy : 1 + dy + ncy]
+        result = (cells[order], order.astype(np.int64), block.ravel())
+        self._listener_cache = (self._grid_version, rx.copy()) + result
         return result
 
     def _batch_core(
@@ -590,11 +630,10 @@ class SpatialGridBackend(PhysicsBackend):
         ``btx``/``btcell``/``bround`` are the batch's transmitters, their
         cell ids and their *relative* round ids, stably sorted by
         ``(round, cell)`` -- slices of the per-schedule composite argsort.
-        After the half-duplex probe the cost rule (``_EXACT_FIRST_RATIO``)
-        sends the candidates either straight to :meth:`_exact_tail` or
-        through the certificate ladder first.
-        Every stage runs exactly once for the whole batch, keyed by
-        ``relative round x cell count + tile`` so rounds never mix;
+        The candidates run the certificate ladder, and its survivors
+        :meth:`_exact_tail`.  Every stage runs exactly once for the whole
+        batch, keyed by ``relative round x cell count + tile`` so rounds
+        never mix;
         per-listener pair sequences, reduction orders and chunk-boundary
         rules do not depend on which other rounds share the batch, making
         the fused results bit-identical to running rounds one at a time.
@@ -611,7 +650,6 @@ class SpatialGridBackend(PhysicsBackend):
         noise = params.noise
         threshold = params.beta - NUMERIC_TOLERANCE
         stats = self._stats
-        bstats = self._batch_stats
         ncx, ncy = self._shape  # type: ignore[misc]
         ncells = np.int64(ncx) * np.int64(ncy)
         num_rel = t1 - t0
@@ -646,7 +684,7 @@ class SpatialGridBackend(PhysicsBackend):
         ny_ = ucy[:, None] + offs[:, 1][None, :]
         ok = (nx_ >= 0) & (nx_ < ncx) & (ny_ >= 0) & (ny_ < ncy)
         base = np.broadcast_to((uround * ncells)[:, None], nx_.shape)[ok]
-        cand_keys, nbr_of = np.unique(base + nx_[ok] * ncy + ny_[ok], return_inverse=True)
+        cand_keys = np.unique(base + nx_[ok] * ncy + ny_[ok])
         cround, ctile = np.divmod(cand_keys, ncells)
         lo = np.searchsorted(rx_cells_sorted, ctile, side="left")
         hi = np.searchsorted(rx_cells_sorted, ctile, side="right")
@@ -666,24 +704,6 @@ class SpatialGridBackend(PhysicsBackend):
             return empty
         stats["candidates"] += cand.size
 
-        # Cost rule: exact evaluation of every candidate costs about
-        # listeners x round size pairs per candidate tile; the ring-1 join
-        # alone costs listeners x same-round transmitters in the tile's 3x3
-        # block.  Where the block holds a large share of the round (small
-        # grids, dense rounds) the certificates cannot save their own cost,
-        # so the batch goes straight to the exact tail.
-        block_tx = np.bincount(
-            nbr_of,
-            weights=np.broadcast_to(tile_counts[:, None], nx_.shape)[ok],
-            minlength=cand_keys.size,
-        )
-        round_sizes = tx_indptr[cround + t0 + 1] - tx_indptr[cround + t0]
-        exact_est = float(ccounts @ round_sizes)
-        join_est = float(ccounts @ block_tx)
-        if exact_est <= self._EXACT_FIRST_RATIO * join_est:
-            bstats["batches_exact_first"] += 1
-            return self._exact_tail(t0, tx_indptr, tx_members, rx, cand, cand_round)
-
         cand_cells = self._cell_of[rx[cand]]
         lcx, lcy = np.divmod(cand_cells, np.int64(ncy))
         cand_xy = self._positions.take(rx[cand], axis=0)
@@ -694,7 +714,7 @@ class SpatialGridBackend(PhysicsBackend):
             lcx, lcy, offs, utile_key, tile_starts, tile_counts, base_key
         )
         stats["near_pairs"] += pair_l.size
-        bstats["join_entries"] += pair_l.size
+        self._batch_stats["join_entries"] += pair_l.size
         gains = _kernels.pair_gains(
             self._positions.take(btx[pair_t], axis=0), cand_xy.take(pair_l, axis=0),
             params.power, params.alpha, COLOCATED_GAIN,
@@ -728,7 +748,7 @@ class SpatialGridBackend(PhysicsBackend):
             )
             if shell_l.size:
                 stats["near_pairs"] += shell_l.size
-                bstats["join_entries"] += shell_l.size
+                self._batch_stats["join_entries"] += shell_l.size
                 shell_gains = _kernels.pair_gains(
                     self._positions.take(btx[shell_t], axis=0),
                     cand_xy.take(und, axis=0).take(shell_l, axis=0),
@@ -768,14 +788,13 @@ class SpatialGridBackend(PhysicsBackend):
         """Exact evaluation, threshold and output order of a batch's survivors.
 
         ``cand`` are rx-local listener indices and ``cand_round`` their
-        relative rounds -- every candidate on the exact-first branch, the
-        certificate survivors (the rare undecidable listener and every
-        actual receiver) on the ladder.  Each survivor is evaluated with the
-        dense formulas against its own round's transmitters in schedule
-        order, and its result depends only on that segment, so both
-        branches deliver bit-identical events.  Returns ``(absolute round
-        id, rx-local receiver, sender, sinr)`` in round-major,
-        receiver-sorted order.
+        relative rounds: the certificate survivors, the rare undecidable
+        listener and every actual receiver.  Each survivor is evaluated with
+        the block form's pair arithmetic against its own round's
+        transmitters in schedule order, and its result depends only on that
+        segment, so the ladder and block form deliver bit-identical events.
+        Returns ``(absolute round id, rx-local receiver, sender, sinr)`` in
+        round-major, receiver-sorted order.
         """
         params = self._params
         self._stats["exact"] += cand.size
@@ -798,19 +817,23 @@ class SpatialGridBackend(PhysicsBackend):
         tx_members: np.ndarray,
         listeners: Optional[Sequence[int]] = None,
     ) -> DeliveryTable:
-        """Columnar schedule evaluation through the certified batch core.
+        """Columnar schedule evaluation: block form or the certified batch core.
 
-        The listener pool is bucketed once per call and the transmitter
-        table is tile-sorted once with a single composite ``(round, cell)``
-        argsort; consecutive rounds are then cut into batches of at most
-        ``_BATCH_ENTRIES`` entries and ``_BATCH_ROUNDS`` rounds and each
-        batch runs through :meth:`_batch_core`.  Results are bit-identical
-        however the schedule is cut, one round per batch included --
-        batching only amortizes the per-round NumPy call floors.
-        :meth:`grid_info` reports the per-run batch counters.
-        Semantically identical to the generic chunked path
-        (property-tested against the dense backend and a brute-force
-        Equation 1 oracle).
+        The listener pool is bucketed once per call, and the cost rule
+        (``_EXACT_FIRST_RATIO``) compares the call's block work, entries x
+        listeners, with its join estimate, the listeners in each entry's
+        3x3 cell block.  A call within the ratio runs the grouped block
+        reduction dense and lazy use (:meth:`PhysicsBackend._block_table`,
+        under the base's element budget).  Any other call tile-sorts the
+        transmitter table once with a single composite ``(round, cell)``
+        argsort, cuts consecutive rounds into batches of at most
+        ``_BATCH_ENTRIES`` entries and ``_BATCH_ROUNDS`` rounds, and runs
+        each batch through :meth:`_batch_core`.  Results are bit-identical
+        on either path and however the schedule is cut, one round per
+        batch included -- batching only amortizes the per-round NumPy call
+        floors.  :meth:`grid_info` reports the per-call counters.
+        Property-tested against the dense backend and a brute-force
+        Equation 1 oracle.
         """
         tx_indptr, tx_members, rx = self._schedule_arrays(tx_indptr, tx_members, listeners)
         num_rounds = len(tx_indptr) - 1
@@ -821,7 +844,15 @@ class SpatialGridBackend(PhysicsBackend):
             bstats["rounds_empty"] = num_rounds
             return _empty_table(num_rounds)
         self._ensure_grid()
-        cells_sorted, locals_sorted = self._bucket_listeners(rx)
+        cells_sorted, locals_sorted, block_listeners = self._bucket_listeners(rx)
+        member_cells = self._cell_of[tx_members]
+        ratio = self._EXACT_FIRST_RATIO
+        join_est = int(block_listeners.take(member_cells).sum())
+        if ratio == math.inf or tx_members.size * rx.size <= ratio * join_est:
+            bstats["calls_block_form"] = 1
+            return self._block_table(
+                tx_indptr, tx_members, rx, PhysicsBackend._BATCH_BLOCK_ELEMENTS
+            )
 
         # One composite (round, cell) argsort for the whole schedule: every
         # batch's tile-sorted transmitter slice is a slice of this order
@@ -830,7 +861,6 @@ class SpatialGridBackend(PhysicsBackend):
         round_sizes = np.diff(tx_indptr)
         member_round = np.repeat(np.arange(num_rounds, dtype=np.int64), round_sizes)
         ncells = np.int64(self._shape[0]) * np.int64(self._shape[1])  # type: ignore[index]
-        member_cells = self._cell_of[tx_members]
         gorder = np.argsort(member_round * ncells + member_cells, kind="stable")
         sorted_members = tx_members[gorder]
         sorted_cells = member_cells[gorder]

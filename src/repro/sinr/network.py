@@ -84,7 +84,9 @@ class WirelessNetwork:
         delta_bound: Optional[int] = None,
         backend: Union[str, PhysicsBackend] = "dense",
     ) -> None:
-        positions = np.asarray(positions, dtype=float)
+        # A private copy: move_nodes writes into it, and a caller's later
+        # edit of their array must not move nodes behind the backend's back.
+        positions = np.array(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("positions must be an (n, 2) array")
         self._init_nodes(len(positions), params, uids, id_space, delta_bound, positions)

@@ -14,8 +14,10 @@ Structure:
   cycles, random-with-empty-rounds) generating CSR ``(indptr, members)``
   over node indices;
 * a backend zoo (dense, lazy, spatial with its round cap set to K in
-  {1, 7, 64} on the instance, at its default limits, and with its cost
-  rule forced onto the certificate ladder);
+  {1, 7, 64} on the instance -- batches exist only on the certificate
+  ladder, so these legs force it --, spatial at its defaults, whose cost
+  rule runs small placements in block form, and spatial at its default
+  limits with the ladder forced);
 * a float64 loop oracle stating Equation 1 directly
   (:func:`repro.testing.oracle.oracle_events`), checked against
   ``receptions_table`` and ``receptions`` of every backend (dense and lazy
@@ -28,8 +30,9 @@ Structure:
   match it to the last bit (``sinr`` included) on random CSR schedules;
 * a golden-digest regression corpus (``golden_reception_digests.json``)
   whose failure message names the first diverging round;
-* a forced-branch property: the spatial cost rule's exact-first branch
-  and its certificate ladder give bit-identical tables;
+* a forced-branch property: the spatial cost rule's block form and its
+  certificate ladder give bit-identical tables, restricted and
+  single-listener pools included;
 * counter-accounting and listener-cache invalidation unit tests.
 
 Regenerate the golden corpus after an *intentional* physics change with::
@@ -60,6 +63,7 @@ from repro.sinr.backends import (
     SpatialGridBackend,
 )
 from repro.sinr.backends import _kernels
+from repro.sinr.backends.base import PhysicsBackend
 from repro.sinr.model import NUMERIC_TOLERANCE, SINRParameters
 from repro.testing.oracle import oracle_events
 
@@ -125,12 +129,15 @@ FAMILIES = ("ssf", "wss", "wcss", "tdma", "round-robin", "random-empties")
 def spatial_backend(positions: np.ndarray, batch="auto") -> SpatialGridBackend:
     """A spatial backend whose batches hold at most ``batch`` rounds.
 
-    ``"auto"`` keeps the default limits; an int overrides the private
-    round cap on this instance only.  No result may depend on it.
+    ``"auto"`` keeps the defaults, cost rule included.  An int overrides the
+    private round cap on this instance only and forces the certificate
+    ladder (``_EXACT_FIRST_RATIO = 0``), the only path that cuts batches.
+    No result may depend on either.
     """
     backend = SpatialGridBackend(positions, PARAMS)
     if batch != "auto":
         backend._BATCH_ROUNDS = batch
+        backend._EXACT_FIRST_RATIO = 0.0
     return backend
 
 
@@ -156,8 +163,9 @@ def backend_zoo(positions: np.ndarray) -> dict:
     }
     for k in BATCH_SIZES:
         zoo[f"spatial-k{k}"] = spatial_backend(positions.copy(), k)
-    # Small placements make the cost rule pick exact-first; this leg keeps
-    # the certificate ladder under the oracle and the matrix.
+    # Small placements make the cost rule pick block form; this leg keeps
+    # the certificate ladder at its default limits under the oracle and the
+    # matrix.
     zoo["spatial-ladder"] = spatial_backend(positions.copy())
     zoo["spatial-ladder"]._EXACT_FIRST_RATIO = 0.0
     return zoo
@@ -278,6 +286,7 @@ class TestCrossBackendMatrix:
         positions = random_positions(3, n)
         indptr, members = schedule_csr("ssf", n, 3)
         fused = spatial_backend(positions.copy())
+        fused._EXACT_FIRST_RATIO = 0.0
         batched = fused.receptions_table(indptr, members)
         unfused = spatial_backend(positions.copy(), 1)
         single = unfused.receptions_table(indptr, members)
@@ -378,6 +387,28 @@ class TestBatchedDriverProperties:
                               np.concatenate([head.sinr, tail.sinr]))
 
 
+def forced_branches(backend, indptr, members, listeners=None):
+    """The call run with the cost rule forced onto the certificate ladder,
+    then into block form; checks each call's counters and returns both
+    tables."""
+    backend._EXACT_FIRST_RATIO = 0.0
+    ladder = backend.receptions_table(indptr, members, listeners)
+    assert backend.grid_info()["calls_block_form"] == 0
+    pruned = ("pruned_signal", "pruned_near", "pruned_far", "exact", "candidates")
+    before = [backend.grid_info()[k] for k in pruned]
+    backend._EXACT_FIRST_RATIO = math.inf
+    block = backend.receptions_table(indptr, members, listeners)
+    info = backend.grid_info()
+    # Calls with no entry or no listener stop before the rule.
+    ran = len(members) > 0 and (listeners is None or len(listeners) > 0)
+    assert info["calls_block_form"] == int(ran)
+    # Block form moves no ladder counter.
+    assert info["batches"] == info["join_entries"] == 0
+    assert info["rounds_fused"] == info["rounds_single"] == 0
+    assert [info[k] for k in pruned] == before
+    return ladder, block
+
+
 class TestCostRuleBranches:
     @given(
         positions=positions_strategy,
@@ -385,45 +416,65 @@ class TestCostRuleBranches:
         family=st.sampled_from(FAMILIES),
         seed=st.integers(0, 500),
         entries=st.sampled_from([1, 5, 4096]),
+        pool=st.one_of(
+            st.none(),
+            st.integers(0, 15).map(lambda v: [v]),
+            st.lists(st.integers(0, 15), min_size=1, max_size=24),
+        ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_forced_branches_bit_identical(self, positions, scale, family, seed, entries):
-        """Exact-first and the certificate ladder deliver the same table.
+    def test_forced_branches_bit_identical(self, positions, scale, family, seed, entries, pool):
+        """Block form and the certificate ladder deliver the same table.
 
         One instance runs the schedule with the cost rule forced each way
-        (``_EXACT_FIRST_RATIO`` 0: always the ladder; ``inf``: always
-        exact-first).  The scaled placements spread the nodes over a wide
-        grid, where the certificates really prune.
+        (``_EXACT_FIRST_RATIO`` 0: always the ladder; ``inf``: always block
+        form), over every node or a restricted, possibly single-listener,
+        pool.  The scaled placements spread the nodes over a wide grid,
+        where the certificates really prune.
         """
         positions = positions * scale
-        indptr, members = schedule_csr(family, len(positions), seed)
+        n = len(positions)
+        indptr, members = schedule_csr(family, n, seed)
+        listeners = None if pool is None else [v % n for v in pool]
         backend = spatial_backend(positions)
         backend._BATCH_ENTRIES = entries
-        backend._EXACT_FIRST_RATIO = 0.0
-        ladder = backend.receptions_table(indptr, members)
-        assert backend.grid_info()["batches_exact_first"] == 0
-        pruned = ("pruned_signal", "pruned_near", "pruned_far")
-        before = [backend.grid_info()[k] for k in pruned]
-        backend._EXACT_FIRST_RATIO = math.inf
-        exact_first = backend.receptions_table(indptr, members)
-        info = backend.grid_info()
-        # Batches whose candidates all transmit stop before the rule.
-        assert info["batches_exact_first"] <= info["batches"]
-        assert info["join_entries"] == 0
-        assert [info[k] for k in pruned] == before
-        assert_tables_bit_identical(ladder, exact_first)
+        assert_tables_bit_identical(*forced_branches(backend, indptr, members, listeners))
+
+    @pytest.mark.parametrize("side", [2.0, 6.0, 20.0])
+    def test_single_listener_wide_rounds_bit_identical(self, side):
+        """Rounds of 8-19 transmitters, heard by one listener at a time.
+
+        Over one listener the block form's gains of a round are contiguous,
+        where NumPy's unrolled sum would add them pairwise; both branches
+        must still add them in transmitter order.
+        """
+        n = 40
+        positions = random_positions(47, n, side)
+        rng = np.random.default_rng(47)
+        rounds = [rng.permutation(n)[: rng.integers(8, 20)] for _ in range(12)]
+        indptr = np.cumsum([0] + [len(r) for r in rounds])
+        members = np.concatenate(rounds)
+        backend = spatial_backend(positions)
+        delivered = 0
+        for listener in range(n):
+            ladder, block = forced_branches(backend, indptr, members, [listener])
+            assert_tables_bit_identical(ladder, block)
+            delivered += len(block)
+        assert delivered > 0
 
 
 class TestPairBudget:
     @pytest.mark.parametrize("ratio", [0.0, math.inf])
-    def test_default_pair_budget_splits_a_real_batch(self, ratio):
-        """The spatial pair budget (2^14) cuts a real batch's exact tail.
+    def test_default_pair_budget_splits_a_real_batch(self, ratio, monkeypatch):
+        """A real call is cut by its element budget, and no cut changes it.
 
-        300 nodes on a 6 x 6 square with six rounds of 100 transmitters:
-        one batch whose exact pair list exceeds the budget on both branches
-        of the cost rule (``ratio`` 0 forces the ladder, ``inf``
-        exact-first).  The default budget, the base's 4M (no cut) and 1
-        (one candidate per chunk) must give bit-identical tables.
+        300 nodes on a 6 x 6 square with six rounds of 100 transmitters.
+        On the ladder (``ratio`` 0) it is one batch whose exact pair list
+        exceeds spatial's pair budget (2^14); in block form (``inf``) its
+        300 x 600 gain block exceeds 2^14 elements of the base's budget,
+        which block form runs under.  2^14, 4M (no cut) and 1 (one
+        candidate, or one round, per chunk) must give bit-identical
+        tables.
         """
         n, k, num_rounds = 300, 100, 6
         positions = random_positions(41, n, side=6.0)
@@ -434,24 +485,41 @@ class TestPairBudget:
         indptr = np.arange(num_rounds + 1, dtype=np.int64) * k
         default = SpatialGridBackend._BATCH_BLOCK_ELEMENTS
         assert default == 1 << 14
-        tables, pairs = [], []
-        for block in (default, 4_000_000, 1):
+        tables, pairs, blocks = [], [], []
+        for budget in (default, 4_000_000, 1):
             backend = spatial_backend(positions.copy())
             backend._EXACT_FIRST_RATIO = ratio
-            backend._BATCH_BLOCK_ELEMENTS = block
-            exact = backend._exact_eval_segments
+            if ratio == math.inf:
+                monkeypatch.setattr(PhysicsBackend, "_BATCH_BLOCK_ELEMENTS", budget)
+            else:
+                backend._BATCH_BLOCK_ELEMENTS = budget
+            exact, gain_block = backend._exact_eval_segments, backend.gain_block
 
             def counted(tx_pool, seg_starts, seg_counts, rx_nodes, exact=exact):
                 pairs.append(int(seg_counts.sum()))
                 return exact(tx_pool, seg_starts, seg_counts, rx_nodes)
 
+            def counted_block(senders, receivers, gain_block=gain_block):
+                blocks.append(budget)
+                return gain_block(senders, receivers)
+
             backend._exact_eval_segments = counted
+            backend.gain_block = counted_block
             tables.append(backend.receptions_table(indptr, members))
             info = backend.grid_info()
-            assert info["batches"] == 1
-            assert info["batches_exact_first"] == (1 if ratio == math.inf else 0)
-        assert min(pairs) > default
+            assert info["calls_block_form"] == (1 if ratio == math.inf else 0)
+            assert info["batches"] == (0 if ratio == math.inf else 1)
         assert len(tables[0]) > 0
+        if ratio == math.inf:
+            assert not pairs
+            # 2^14 elements cut the call into chunks, 4M runs it whole, and
+            # 1 runs one round per chunk.
+            assert blocks.count(default) > 1
+            assert blocks.count(4_000_000) == 1
+            assert blocks.count(1) == num_rounds
+        else:
+            assert not blocks
+            assert min(pairs) > default
         assert_tables_bit_identical(tables[0], tables[1])
         assert_tables_bit_identical(tables[0], tables[2])
 
@@ -466,9 +534,10 @@ def per_round_reference(backend, indptr, members, listeners=None):
 
     Chunks rounds greedily under ``_BATCH_BLOCK_ELEMENTS`` (one
     ``gain_block`` call per chunk) and reduces each round's contiguous row
-    slice on its own.  The shipped routine groups each chunk's rounds by
+    slice on its own, adding the round's gain rows one by one in
+    transmitter order.  The shipped routine groups each chunk's rounds by
     size instead; it must agree with this to the last bit, ``sinr``
-    included.
+    included, whatever the size of the listener pool.
     """
     indptr, members, rx = backend._schedule_arrays(indptr, members, listeners)
     num_rounds = len(indptr) - 1
@@ -493,7 +562,9 @@ def per_round_reference(backend, indptr, members, listeners=None):
                 if lo == hi:
                     continue
                 gains = block[lo:hi]
-                total = gains.sum(axis=0)
+                total = np.zeros(rx.size)
+                for row in gains:
+                    total += row
                 best = gains.max(axis=0)
                 sinr = best / (PARAMS.noise + (total - best))
                 ok = sinr >= threshold
@@ -558,7 +629,12 @@ class TestGenericPathMatchesPerRoundReference:
             assert np.array_equal(table.sinr, sinr)
 
     def test_single_listener_wide_rounds(self):
-        """One listener and rounds wider than NumPy's 8-way unrolled sum."""
+        """One listener and rounds wider than NumPy's 8-way unrolled sum.
+
+        Over one listener a round's gains are contiguous, and NumPy would
+        sum them pairwise; the table must still add them in transmitter
+        order, as the reference does.
+        """
         positions = random_positions(4, 40, side=6.0)
         rng = np.random.default_rng(4)
         rounds = [rng.permutation(40)[:k] for k in (1, 9, 17, 9, 33, 17, 1)]
@@ -572,6 +648,32 @@ class TestGenericPathMatchesPerRoundReference:
                 assert np.array_equal(table.sinr, want[3])
                 assert np.array_equal(table.senders, want[2])
                 assert np.array_equal(table.round_ids, want[0])
+
+    def test_single_listener_tables_match_full_pool_rows(self):
+        """A reception's SINR does not depend on the listener pool.
+
+        Random n = 40 placements with rounds of 8-19 transmitters: every
+        row of the full-pool table reappears, bit for bit, in the table of
+        its receiver alone, on dense and on lazy.
+        """
+        checked = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            positions = rng.uniform(0.0, 4.0, size=(40, 2))
+            rounds = [rng.permutation(40)[: rng.integers(8, 20)] for _ in range(4)]
+            indptr = np.cumsum([0] + [len(r) for r in rounds])
+            members = np.concatenate(rounds)
+            for backend in (DenseMatrixBackend(positions.copy(), PARAMS),
+                            LazyBlockBackend(positions.copy(), PARAMS)):
+                full = backend.receptions_table(indptr, members)
+                for receiver in np.unique(full.receivers).tolist():
+                    alone = backend.receptions_table(indptr, members, [receiver])
+                    mine = full.receivers == receiver
+                    assert np.array_equal(alone.round_ids, full.round_ids[mine])
+                    assert np.array_equal(alone.senders, full.senders[mine])
+                    assert np.array_equal(alone.sinr, full.sinr[mine])
+                    checked += int(mine.sum())
+        assert checked > 100
 
 
 class TestEdgeCases:
@@ -639,21 +741,23 @@ class TestBatchCounters:
     def _counters(self, backend):
         info = backend.grid_info()
         return {k: info[k] for k in (
-            "batches", "rounds_fused", "rounds_single", "rounds_empty",
-            "join_entries", "batches_exact_first",
+            "calls_block_form", "batches", "rounds_fused", "rounds_single",
+            "rounds_empty", "join_entries",
         )}
 
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     @pytest.mark.parametrize("family", ["ssf", "random-empties"])
     def test_round_accounting_is_total(self, batch, family):
-        # A wide, sparse placement: the cost rule runs the certificate
-        # ladder on some batches, so the join counter is exercised.
+        # A wide, sparse placement on the certificate ladder (forced: at
+        # n = 40 the cost rule picks block form), so the certificates prune
+        # and the join counter is exercised.
         n = 40
         positions = random_positions(13, n, side=12.0)
         indptr, members = schedule_csr(family, n, 13)
         num_rounds = len(indptr) - 1
         sizes = np.diff(indptr)
         backend = spatial_backend(positions, batch)
+        backend._EXACT_FIRST_RATIO = 0.0
         # The default entry budget, then one small enough to cut batches
         # before the round cap does.
         for entries in (backend._BATCH_ENTRIES, 10):
@@ -670,8 +774,10 @@ class TestBatchCounters:
             if batch == 1:
                 assert c["rounds_fused"] == 0
                 assert c["rounds_single"] == np.count_nonzero(sizes)
-            assert 0 <= c["batches_exact_first"] < c["batches"]
+            assert c["calls_block_form"] == 0
             assert c["join_entries"] > 0
+        pruned = backend.grid_info()
+        assert pruned["pruned_signal"] + pruned["pruned_near"] + pruned["pruned_far"] > 0
 
     def test_counters_reset_per_run(self):
         n = 18
@@ -686,13 +792,23 @@ class TestBatchCounters:
         backend.receptions_table(short_ptr, members[: short_ptr[-1]])
         c = self._counters(backend)
         assert c["rounds_fused"] + c["rounds_single"] + c["rounds_empty"] == 2
+        # A block-form call sets its flag and resets every ladder counter;
+        # the next ladder call clears the flag again.
+        backend._EXACT_FIRST_RATIO = math.inf
+        backend.receptions_table(indptr, members)
+        assert self._counters(backend) == {k: int(k == "calls_block_form") for k in first}
+        backend._EXACT_FIRST_RATIO = 0.0
+        backend.receptions_table(indptr, members)
+        assert self._counters(backend) == first
 
     def test_default_limits_fuse_narrow_schedule(self):
-        """A long, narrow selector schedule (the paper's regime) is fused."""
+        """A long, narrow selector schedule (the paper's regime) is fused
+        on the ladder (forced: the cost rule runs it in block form)."""
         n = 120
         positions = random_positions(19, n, side=8.0)
         indptr, members = schedule_csr("ssf", n, 19)
         backend = SpatialGridBackend(positions, PARAMS)
+        backend._EXACT_FIRST_RATIO = 0.0
         backend.receptions_table(indptr, members)
         c = self._counters(backend)
         num_rounds = len(indptr) - 1
@@ -884,8 +1000,10 @@ class TestRunnerThreading:
                                           backend="spatial")
         net_b = deployment.uniform_random(40, area_side=4.0, seed=43,
                                           backend="spatial")
-        net_a.physics._BATCH_ROUNDS = 1
-        net_b.physics._BATCH_ROUNDS = 16
+        # Batch limits apply on the certificate ladder; force it.
+        for net, rounds in ((net_a, 1), (net_b, 16)):
+            net.physics._BATCH_ROUNDS = rounds
+            net.physics._EXACT_FIRST_RATIO = 0.0
         sched = ssf.prime_residue_ssf(64, 4)
         ids = list(net_a.uids)
         res_a = run_schedule(SINRSimulator(net_a), sched, ids)

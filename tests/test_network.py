@@ -48,6 +48,17 @@ class TestConstruction:
         network = WirelessNetwork(line_positions(10))
         assert network.id_space >= 4 * 10
 
+    def test_positions_are_a_private_copy(self):
+        """Moving a node leaves the caller's array alone, and editing that
+        array later does not move a node."""
+        caller = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        network = WirelessNetwork(caller)
+        network.move_nodes([1], [[5.0, 5.0]])
+        assert caller.tolist() == [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]
+        caller[1] = [9.0, 9.0]
+        assert network.positions.tolist() == [[5.0, 5.0], [0.5, 0.0], [1.0, 0.0]]
+        assert network.position_of(2) == pytest.approx((0.5, 0.0))
+
     def test_size_and_len(self):
         network = WirelessNetwork(line_positions(5))
         assert network.size == 5

@@ -81,8 +81,8 @@ def assert_tables_equal(a, b, rel=1e-9):
 def both_backends(positions, ladder=False):
     """Dense and spatial backends over the same placement.
 
-    Small placements make the spatial cost rule pick exact-first for almost
-    every batch; ``ladder`` forces the certificate ladder on the instance
+    Small placements make the spatial cost rule run every call in block
+    form; ``ladder`` forces the certificate ladder on the instance
     (``_EXACT_FIRST_RATIO = 0``) so the comparison covers it too.
     """
     positions = np.asarray(positions, dtype=float)
@@ -94,9 +94,9 @@ def both_backends(positions, ladder=False):
 
 
 def assert_leg_taken(spatial, ladder):
-    """A forced-ladder leg must not have sent any batch exact-first."""
+    """A forced-ladder leg must not have run its call in block form."""
     if ladder:
-        assert spatial.grid_info()["batches_exact_first"] == 0
+        assert spatial.grid_info()["calls_block_form"] == 0
 
 
 class TestSpatialDenseEquivalence:
@@ -209,18 +209,18 @@ class TestSpatialDenseEquivalence:
     def test_exact_fallback_is_exercised_not_bypassed(self):
         """Receivers always reach the exact stage; bounds only prune losers.
 
-        A wide area with sparse rounds, where the cost rule runs the
-        certificate ladder on every round.
+        A wide area with sparse rounds on the certificate ladder (forced:
+        at n = 200 the cost rule runs these rounds in block form).
         """
         positions = random_positions(3, 200, side=16.0)
-        dense, spatial = both_backends(positions)
+        dense, spatial = both_backends(positions, ladder=True)
         rng = np.random.default_rng(4)
         deliveries = 0
         for _ in range(5):
             tx = list(np.flatnonzero(rng.random(200) < 0.08))
             result = spatial.receptions(tx)
             assert_receptions_close(dense.receptions(tx), result)
-            assert spatial.grid_info()["batches_exact_first"] == 0
+            assert spatial.grid_info()["calls_block_form"] == 0
             deliveries += len(result)
         info = spatial.grid_info()
         assert deliveries > 0
@@ -230,9 +230,9 @@ class TestSpatialDenseEquivalence:
         assert info["pruned_signal"] + info["pruned_near"] + info["pruned_far"] > 0
 
     def test_small_grid_goes_exact_first(self):
-        """On a small grid the ring-1 join covers most of each round, so the
-        cost rule skips the certificates: every candidate is evaluated
-        exactly and the output still equals dense."""
+        """On a small grid each transmitter's 3x3 cell block holds a large
+        share of the listeners, so the cost rule skips the certificates and
+        runs the whole call in block form; the output still equals dense."""
         positions = random_positions(3, 60, side=4.0)
         dense, spatial = both_backends(positions)
         indptr, members = random_schedule(60, 4, rounds=6)
@@ -240,11 +240,26 @@ class TestSpatialDenseEquivalence:
         assert_tables_equal(dense.receptions_table(indptr, members), table)
         info = spatial.grid_info()
         assert len(table) > 0
-        assert info["batches"] > 0
-        assert info["batches_exact_first"] == info["batches"]
-        assert info["join_entries"] == 0
-        assert info["pruned_signal"] + info["pruned_near"] + info["pruned_far"] == 0
-        assert info["exact"] == info["candidates"]
+        assert info["calls_block_form"] == 1
+        # No ladder counter moved: per-call ones are 0, cumulative ones untouched.
+        for key in ("batches", "rounds_fused", "rounds_single", "rounds_empty",
+                    "join_entries", "rounds", "listeners", "candidates",
+                    "pruned_signal", "pruned_near", "pruned_far", "exact", "near_pairs"):
+            assert info[key] == 0, key
+
+    def test_wide_grid_runs_the_ladder(self):
+        """A sparse placement leaves few listeners in each transmitter's
+        3x3 cell block, so the cost rule keeps the certificate ladder."""
+        positions = random_positions(5, 400, side=60.0)
+        dense, spatial = both_backends(positions)
+        indptr, members = random_schedule(400, 6, rounds=6)
+        table = spatial.receptions_table(indptr, members)
+        assert_tables_equal(dense.receptions_table(indptr, members), table)
+        info = spatial.grid_info()
+        assert len(table) > 0
+        assert info["calls_block_form"] == 0
+        assert info["batches"] > 0 and info["join_entries"] > 0
+        assert info["pruned_signal"] + info["pruned_near"] + info["pruned_far"] > 0
 
     def test_non_integral_alpha_uses_general_power_path(self):
         params = SINRParameters(alpha=2.5, beta=1.5, noise=1.0, power=1.5)
