@@ -157,6 +157,105 @@ class TestRandomizedGlobal:
         assert result.reached_count() == path_network.size
 
 
+def _awakened_digest(result) -> str:
+    # Order-sensitive: the flood's informed-set order fixes which coin each
+    # node draws, so a reordering shows up here before it moves any count.
+    return hashlib.sha256(repr(list(result.awakened_round.items())).encode()).hexdigest()
+
+
+def _uniform_60():
+    return deployment.uniform_random(60, area_side=4.0, seed=13)
+
+
+class TestRandomizedGlobalGolden:
+    """Pinned outcomes of the randomized global floods.
+
+    Each round's coins go to the informed nodes in the informed set's
+    iteration order, so the RNG stream, the newly informed nodes' insertion
+    order and the reception path together fix ``rounds_used``,
+    ``completed_round``, the simulator's counters and the order of
+    ``awakened_round``.  The ``no-stop`` runs end at the round budget.
+    """
+
+    CASES = {
+        "line": (lambda: deployment.line(8), dict(seed=7)),
+        "uniform": (_uniform_60, dict(seed=2)),
+        "no-stop": (_uniform_60, dict(seed=5, stop_when_complete=False, rounds_factor=0.05)),
+    }
+    EXPECTED = [
+        (randomized_global_broadcast_decay, "line", 29, 29, 29, 37, 41,
+         "8b33946a2ea6319f06a7f0be4216c93378f89155641232c5e446a3974399b692"),
+        (randomized_global_broadcast_decay, "uniform", 68, 68, 68, 444, 830,
+         "aae97f48238e50e3755f00279eb3496e342b3161016ab9833e026d1c810178f9"),
+        (randomized_global_broadcast_decay, "no-stop", 18, None, 18, 32, 104,
+         "1234c797130e140ff67c6bf191be7e74f175bd484ef5bdcaff924518020eb364"),
+        (randomized_global_broadcast_uniform, "line", 24, 24, 24, 35, 29,
+         "b0b1beb0c062995f6c2587cad5f759b2ea11ed6a228c0509c0898253c6eb805a"),
+        (randomized_global_broadcast_uniform, "uniform", 87, 87, 87, 172, 1006,
+         "a84eb27a9da30e7c09447285e81d188ff821ba4b6322386766eabd26865ce83a"),
+        (randomized_global_broadcast_uniform, "no-stop", 222, None, 222, 692, 3433,
+         "fd466347c2ed0851945f61de1986c88b85357af981e548b8cdc11bdb7bf9c3d0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "algorithm, case, rounds_used, completed_round, sim_rounds, sent, delivered, digest",
+        EXPECTED,
+        ids=[f"{e[0].__name__.rsplit('_', 1)[-1]}-{e[1]}" for e in EXPECTED],
+    )
+    def test_pinned_outcome(
+        self, algorithm, case, rounds_used, completed_round, sim_rounds, sent, delivered, digest
+    ):
+        make_network, kwargs = self.CASES[case]
+        network = make_network()
+        sim = SINRSimulator(network)
+        result = algorithm(sim, source=network.uids[0], **kwargs)
+        assert result.rounds_used == rounds_used
+        assert result.completed_round == completed_round
+        assert sim.current_round == sim_rounds
+        assert sim.messages_sent == sent
+        assert sim.messages_delivered == delivered
+        assert _awakened_digest(result) == digest
+
+
+class TestRandomizedGlobalBackends:
+    """The flood's outcome is a property of the placement, not the backend."""
+
+    KWARGS = dict(seed=4, stop_when_complete=False, rounds_factor=0.05)
+
+    @staticmethod
+    def _network(backend):
+        return deployment.uniform_random(200, area_side=8.0, seed=31, backend=backend)
+
+    def _outcome(self, sim):
+        source = sim.network.uids[0]
+        result = randomized_global_broadcast_decay(sim, source=source, **self.KWARGS)
+        counters = (sim.current_round, sim.messages_sent, sim.messages_delivered)
+        return list(result.awakened_round.items()), result.rounds_used, counters
+
+    def test_decay_identical_on_every_backend(self):
+        dense, lazy, spatial = (
+            self._outcome(SINRSimulator(self._network(backend)))
+            for backend in ("dense", "lazy", "spatial")
+        )
+        ladder_network = self._network("spatial")
+        ladder_network.physics._EXACT_FIRST_RATIO = 0  # force the certificate ladder
+        ladder = self._outcome(SINRSimulator(ladder_network))
+        assert ladder_network.physics.grid_info()["batches"] > 0
+        assert len(dense[0]) > 1
+        assert dense == lazy == spatial == ladder
+
+    def test_sleeping_nodes_are_never_informed(self):
+        network = self._network("dense")
+        awake = network.uids[::2]
+        sim = SINRSimulator(network)
+        sim.put_all_to_sleep(except_for=awake)
+        awakened, _, _ = self._outcome(sim)
+        informed = {uid for uid, _ in awakened}
+        assert len(informed) > 1
+        assert informed <= set(awake)
+        assert sim.sleeping_nodes() == network.uids[1::2]
+
+
 class TestLocationAware:
     def test_grid_strategy_completes(self, small_network):
         sim = SINRSimulator(small_network)
