@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 import numpy as np
 
 from ..simulation.engine import SINRSimulator
-from ..simulation.messages import Message
 
 
 @dataclass
@@ -51,28 +50,35 @@ class RandomizedGlobalBroadcastResult:
 def _run_informed_flood(
     sim: SINRSimulator,
     source: int,
-    probability_for_round,
+    probability_of_round: Callable[[int], float],
     max_rounds: int,
     rng: np.random.Generator,
     stop_when_complete: bool = True,
 ) -> RandomizedGlobalBroadcastResult:
+    """Flood from ``source``, one :meth:`SINRSimulator.run_schedule_table` call per round.
+
+    Coins go to the informed nodes in the set's iteration order, as a loop of
+    scalar draws would give them, so newly informed nodes must join the set in
+    reception order.  Every awake node listens.
+    """
     network = sim.network
-    uids = list(network.uids)
     informed: Set[int] = {source}
+    informed_mask = np.arange(network.id_space + 1) == source  # indexed by uid
     result = RandomizedGlobalBroadcastResult(awakened_round={source: 0})
     start_round = sim.current_round
 
     for local_round in range(1, max_rounds + 1):
-        transmissions = {}
-        for uid in informed:
-            if rng.random() < probability_for_round(uid, local_round):
-                transmissions[uid] = Message(sender=uid, tag="rand-global")
-        delivered = sim.run_round(transmissions, listeners=uids)
-        newly = {listener for listener in delivered if listener not in informed}
-        for uid in newly:
-            result.awakened_round[uid] = local_round
-        informed |= newly
-        if stop_when_complete and len(informed) == len(uids):
+        order = np.fromiter(informed, dtype=np.int64, count=len(informed))
+        tx_uids = order[rng.random(len(order)) < probability_of_round(local_round)]
+        if len(tx_uids):
+            rx = sim.run_schedule_table(1, np.zeros_like(tx_uids), tx_uids).receiver_uids
+            newly = set(rx[~informed_mask[rx]].tolist())
+            informed_mask[rx] = True
+            result.awakened_round.update(dict.fromkeys(newly, local_round))
+            informed |= newly
+        else:
+            sim.run_silent_rounds(1)
+        if stop_when_complete and len(informed) == network.size:
             result.completed_round = local_round
             break
 
@@ -99,7 +105,7 @@ def randomized_global_broadcast_decay(
     sweeps = max(1, int(math.ceil(rounds_factor * (network.size) * math.log(n) / levels)))
     max_rounds = levels * sweeps
 
-    def probability(uid: int, local_round: int) -> float:
+    def probability(local_round: int) -> float:
         level = (local_round - 1) % levels
         return 1.0 / float(2 ** (level + 1))
 
@@ -126,10 +132,5 @@ def randomized_global_broadcast_uniform(
     max_rounds = max(1, int(math.ceil(rounds_factor * delta * network.size * math.log(n))))
 
     return _run_informed_flood(
-        sim,
-        source,
-        lambda uid, r: 1.0 / delta,
-        max_rounds,
-        rng,
-        stop_when_complete=stop_when_complete,
+        sim, source, lambda local_round: 1.0 / delta, max_rounds, rng, stop_when_complete
     )

@@ -222,11 +222,10 @@ class WirelessNetwork:
         return view
 
     def indices_of(self, uids: Iterable[int]) -> np.ndarray:
-        """Dense indices of the given identifiers, as an index array."""
-        if isinstance(uids, np.ndarray) and uids.dtype.kind in "iu":
-            return self.indices_of_array(uids)
-        table = self._uid_to_index
-        return np.fromiter((table[uid] for uid in uids), dtype=int)
+        """Dense indices of the given identifiers; ``KeyError`` names an unknown one."""
+        if not isinstance(uids, np.ndarray):
+            uids = np.fromiter(uids, dtype=np.int64)
+        return self.indices_of_array(uids)
 
     @property
     def uid_index_lookup(self) -> np.ndarray:

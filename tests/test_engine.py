@@ -61,6 +61,17 @@ class TestRunRound:
         delivered = sim.run_round({1: Message(sender=1)}, listeners=[3])
         assert 2 not in delivered
 
+    @pytest.mark.parametrize("unknown", [0, 1000, 3])
+    def test_unknown_listener_raises_key_error(self, unknown):
+        # uid 3 is inside the id space but belongs to no node.
+        network = WirelessNetwork(
+            np.column_stack([np.arange(3) * 0.7, np.zeros(3)]), uids=[1, 2, 4]
+        )
+        sim = SINRSimulator(network)
+        with pytest.raises(KeyError) as caught:
+            sim.run_round({1: Message(sender=1)}, listeners=[2, unknown])
+        assert caught.value.args == (unknown,)
+
     def test_sleeping_nodes_do_not_listen_by_default(self):
         sim = SINRSimulator(path_network())
         sim.put_all_to_sleep(except_for=[1])

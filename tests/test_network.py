@@ -65,6 +65,30 @@ class TestConstruction:
         assert len(network) == 5
 
 
+class TestIndicesOf:
+    """One lookup path for every iterable: lists, sets and arrays alike."""
+
+    @pytest.fixture
+    def network(self):
+        # uids 10, 20, 30 in a 40-uid space: 15 is in range but absent.
+        return WirelessNetwork(line_positions(3), uids=[10, 20, 30], id_space=40)
+
+    def test_any_iterable_gives_index_array(self, network):
+        for uids in ([30, 10], (30, 10), np.array([30, 10]), iter([30, 10])):
+            indices = network.indices_of(uids)
+            assert indices.dtype == np.int64
+            assert indices.tolist() == [2, 0]
+        assert network.indices_of({20}).tolist() == [1]
+        assert network.indices_of([]).tolist() == []
+
+    @pytest.mark.parametrize("unknown", [0, 41, 15])
+    def test_unknown_uid_raises_key_error(self, network, unknown):
+        for uids in ([10, unknown], np.array([10, unknown])):
+            with pytest.raises(KeyError) as caught:
+                network.indices_of(uids)
+            assert caught.value.args == (unknown,)
+
+
 class TestCommunicationGraph:
     def test_line_graph_is_a_path(self):
         params = SINRParameters.default()
