@@ -43,6 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 from scipy.spatial import cKDTree
 
 from .backends import DenseMatrixBackend, PhysicsBackend, make_backend
@@ -150,7 +151,6 @@ class WirelessNetwork:
             raise ValueError("id_space must be at least the largest node ID")
 
         self._positions: Optional[np.ndarray] = positions
-        self._uid_to_index: Dict[int, int] = {uid: i for i, uid in enumerate(uids)}
         self._uid_array = np.array(uids, dtype=int)
         self._id_space = int(id_space)
         self._uid_lookup: Optional[np.ndarray] = None
@@ -208,7 +208,9 @@ class WirelessNetwork:
 
     def index_of(self, uid: int) -> int:
         """Dense index of the node with identifier ``uid``."""
-        return self._uid_to_index[uid]
+        if not 0 < uid <= self._id_space or self.uid_index_lookup[uid] < 0:
+            raise KeyError(uid)
+        return int(self.uid_index_lookup[uid])
 
     def uid_of(self, index: int) -> int:
         """Identifier of the node at dense index ``index``."""
@@ -273,12 +275,12 @@ class WirelessNetwork:
 
     def position_of(self, uid: int) -> Tuple[float, float]:
         """Coordinates of node ``uid`` (analysis only)."""
-        x, y = self._require_positions("position_of")[self._uid_to_index[uid]]
+        x, y = self._require_positions("position_of")[self.index_of(uid)]
         return float(x), float(y)
 
     def distance(self, uid_a: int, uid_b: int) -> float:
         """Distance between two nodes (by ID), Euclidean or metric."""
-        return self._physics.distance(self._uid_to_index[uid_a], self._uid_to_index[uid_b])
+        return self._physics.distance(self.index_of(uid_a), self.index_of(uid_b))
 
     @property
     def communication_graph(self) -> nx.Graph:
@@ -302,7 +304,7 @@ class WirelessNetwork:
 
     def max_degree(self) -> int:
         """Largest degree in the communication graph."""
-        return max((d for _, d in self.communication_graph.degree()), default=0)
+        return int(np.bincount(self._edges().ravel(), minlength=self.size).max())
 
     def density(self) -> int:
         """Unit-ball density of the placement (the paper's Gamma).
@@ -318,7 +320,9 @@ class WirelessNetwork:
 
     def is_connected(self) -> bool:
         """Whether the communication graph is connected."""
-        return nx.is_connected(self.communication_graph) if self.size > 1 else True
+        edges = self._edges()
+        adjacency = coo_matrix((np.ones(len(edges)), edges.T), shape=(self.size, self.size))
+        return csgraph.connected_components(adjacency, directed=False)[0] == 1
 
     def diameter_hops(self, source_uid: Optional[int] = None) -> int:
         """Hop diameter of the communication graph (eccentricity of ``source_uid``).
@@ -403,14 +407,12 @@ class WirelessNetwork:
             uid_list = [int(u) for u in uids]
             if len(uid_list) != m:
                 raise ValueError("number of uids must match number of positions")
-            if len(set(uid_list)) != m or any(u in self._uid_to_index for u in uid_list):
+            if len(set(uid_list)) != m or np.isin(uid_list, self._uid_array).any():
                 raise ValueError("node IDs must be unique")
             if min(uid_list) <= 0:
                 raise ValueError("node IDs must be positive")
-        old_n = self.size
         self._physics.add_nodes(new_xy)
         self._positions = np.vstack([old_xy, new_xy])
-        self._uid_to_index.update((uid, old_n + i) for i, uid in enumerate(uid_list))
         self._uid_array = np.concatenate([self._uid_array, np.array(uid_list, dtype=int)])
         self._id_space = max(self._id_space, max(uid_list))
         self._invalidate_geometry_caches()
@@ -436,25 +438,23 @@ class WirelessNetwork:
         self._physics.remove_nodes(indices)
         self._positions = positions[keep]
         self._uid_array = self._uid_array[keep]
-        self._uid_to_index = {uid: i for i, uid in enumerate(self._uid_array.tolist())}
         self._invalidate_geometry_caches()
 
     # ------------------------------------------------------------------ #
     # Internal helpers.
     # ------------------------------------------------------------------ #
 
+    def _edges(self) -> np.ndarray:
+        """Index pairs ``i < j`` of the communication graph's edges (cheaper than its networkx form)."""
+        reach = self._params.communication_radius + NUMERIC_TOLERANCE
+        if self._positions is None:
+            return np.argwhere(np.triu(self._physics.distances <= reach, k=1))
+        return cKDTree(self._positions).query_pairs(r=reach, output_type="ndarray")
+
     def _build_communication_graph(self) -> nx.Graph:
         graph = nx.Graph()
         graph.add_nodes_from(self._uid_array.tolist())
-        reach = self._params.communication_radius + NUMERIC_TOLERANCE
-        if self._positions is None:
-            pairs = np.argwhere(np.triu(self._physics.distances <= reach, k=1))
-        else:
-            pairs = cKDTree(self._positions).query_pairs(r=reach, output_type="ndarray")
-        if len(pairs):
-            graph.add_edges_from(
-                zip(self._uid_array[pairs[:, 0]].tolist(), self._uid_array[pairs[:, 1]].tolist())
-            )
+        graph.add_edges_from(self._uid_array[self._edges()].tolist())
         return graph
 
     def describe(self) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -87,6 +88,18 @@ class TestIndicesOf:
             with pytest.raises(KeyError) as caught:
                 network.indices_of(uids)
             assert caught.value.args == (unknown,)
+        with pytest.raises(KeyError):
+            network.index_of(unknown)
+
+    def test_lookup_follows_joins_and_crashes(self, network):
+        with pytest.raises(ValueError, match="unique"):
+            network.add_nodes([(5.0, 0.0)], uids=[20])
+        network.add_nodes([(5.0, 0.0)], uids=[50])
+        network.remove_nodes([10])
+        assert [network.index_of(uid) for uid in (20, 30, 50)] == [0, 1, 2]
+        assert network.position_of(50) == pytest.approx((5.0, 0.0))
+        with pytest.raises(KeyError):
+            network.index_of(10)
 
 
 class TestCommunicationGraph:
@@ -122,6 +135,21 @@ class TestCommunicationGraph:
     def test_diameter_with_source_on_disconnected_graph(self):
         network = WirelessNetwork(np.array([[0.0, 0.0], [0.5, 0.0], [9.0, 0.0]]))
         assert network.diameter_hops(source_uid=1) == 1
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            WirelessNetwork(np.random.default_rng(3).uniform(0, 3, size=(80, 2))),
+            WirelessNetwork(np.random.default_rng(3).uniform(0, 6, size=(80, 2))),
+            WirelessNetwork(np.array([[0.0, 0.0]])),
+            WirelessNetwork.from_distances([[0.0, 0.5, 3.0], [0.5, 0.0, 0.6], [3.0, 0.6, 0.0]]),
+        ],
+        ids=["connected-80", "disconnected-80", "single", "metric"],
+    )
+    def test_degree_and_connectivity_match_networkx(self, network):
+        graph = network.communication_graph
+        assert network.max_degree() == max((d for _, d in graph.degree()), default=0)
+        assert network.is_connected() == (len(graph) == 1 or nx.is_connected(graph))
 
     def test_density_at_least_one(self):
         network = WirelessNetwork(line_positions(6))
