@@ -208,9 +208,7 @@ class WirelessNetwork:
 
     def index_of(self, uid: int) -> int:
         """Dense index of the node with identifier ``uid``."""
-        if not 0 < uid <= self._id_space or self.uid_index_lookup[uid] < 0:
-            raise KeyError(uid)
-        return int(self.uid_index_lookup[uid])
+        return int(self.indices_of_array(np.asarray([uid]))[0])
 
     def uid_of(self, index: int) -> int:
         """Identifier of the node at dense index ``index``."""
@@ -226,7 +224,7 @@ class WirelessNetwork:
     def indices_of(self, uids: Iterable[int]) -> np.ndarray:
         """Dense indices of the given identifiers; ``KeyError`` names an unknown one."""
         if not isinstance(uids, np.ndarray):
-            uids = np.fromiter(uids, dtype=np.int64)
+            uids = np.asarray(list(uids))  # an inferred dtype: a float uid is not truncated
         return self.indices_of_array(uids)
 
     @property
@@ -243,16 +241,18 @@ class WirelessNetwork:
         return self._uid_lookup
 
     def indices_of_array(self, uids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`indices_of` for an integer uid array.
+        """Vectorized :meth:`indices_of` for a uid array.
 
-        Raises ``KeyError`` naming the first unknown uid.
+        Raises ``KeyError`` naming the first unknown or non-integral uid.
         """
-        uids = np.ascontiguousarray(uids, dtype=np.int64)
-        if uids.size and (uids.min() < 1 or uids.max() > self._id_space):
-            raise KeyError(int(uids[(uids < 1) | (uids > self._id_space)][0]))
-        indices = self.uid_index_lookup[uids]
-        if uids.size and indices.min() < 0:
-            raise KeyError(int(uids[indices < 0][0]))
+        uids = np.asarray(uids)
+        whole = uids.astype(np.int64)
+        bad = (whole != uids) | (whole < 1) | (whole > self._id_space)
+        if bad.any():
+            raise KeyError(uids[bad][0].item())
+        indices = self.uid_index_lookup[whole]
+        if indices.size and indices.min() < 0:
+            raise KeyError(int(whole[indices < 0][0]))
         return indices
 
     # ------------------------------------------------------------------ #

@@ -91,6 +91,16 @@ class TestIndicesOf:
         with pytest.raises(KeyError):
             network.index_of(unknown)
 
+    def test_non_integral_uid_is_unknown_not_truncated(self, network):
+        assert network.indices_of(np.array([20.0, 10.0])).tolist() == [1, 0]
+        assert network.index_of(30.0) == 2
+        for uids in ([10, 20.5], np.array([10, 20.5])):
+            with pytest.raises(KeyError) as caught:
+                network.indices_of(uids)
+            assert caught.value.args == (20.5,)
+        with pytest.raises(KeyError):
+            network.index_of(20.5)
+
     def test_lookup_follows_joins_and_crashes(self, network):
         with pytest.raises(ValueError, match="unique"):
             network.add_nodes([(5.0, 0.0)], uids=[20])
