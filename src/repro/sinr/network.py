@@ -43,7 +43,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
-from scipy.sparse import coo_matrix, csgraph
 from scipy.spatial import cKDTree
 
 from .backends import DenseMatrixBackend, PhysicsBackend, make_backend
@@ -208,7 +207,7 @@ class WirelessNetwork:
 
     def index_of(self, uid: int) -> int:
         """Dense index of the node with identifier ``uid``."""
-        return int(self.indices_of_array(np.asarray([uid]))[0])
+        return int(self.indices_of((uid,))[0])
 
     def uid_of(self, index: int) -> int:
         """Identifier of the node at dense index ``index``."""
@@ -221,18 +220,12 @@ class WirelessNetwork:
         view.flags.writeable = False
         return view
 
-    def indices_of(self, uids: Iterable[int]) -> np.ndarray:
-        """Dense indices of the given identifiers; ``KeyError`` names an unknown one."""
-        if not isinstance(uids, np.ndarray):
-            uids = np.asarray(list(uids))  # an inferred dtype: a float uid is not truncated
-        return self.indices_of_array(uids)
-
     @property
     def uid_index_lookup(self) -> np.ndarray:
         """``(id_space + 1,)`` array mapping uid -> dense index (-1 if absent).
 
-        Built lazily once; the columnar schedule runners use it to translate
-        whole uid arrays in one vectorized gather.
+        Built lazily once; :meth:`indices_of` translates whole uid arrays
+        through it in one vectorized gather.
         """
         if self._uid_lookup is None:
             lookup = np.full(self._id_space + 1, -1, dtype=np.int64)
@@ -240,12 +233,10 @@ class WirelessNetwork:
             self._uid_lookup = lookup
         return self._uid_lookup
 
-    def indices_of_array(self, uids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`indices_of` for a uid array.
-
-        Raises ``KeyError`` naming the first unknown or non-integral uid.
-        """
-        uids = np.asarray(uids)
+    def indices_of(self, uids: Iterable[int]) -> np.ndarray:
+        """Dense indices of ``uids`` (iterable or array); ``KeyError`` names an unknown or fractional uid."""
+        # An inferred dtype, so a float uid is checked, not truncated.
+        uids = uids if isinstance(uids, np.ndarray) else np.asarray(list(uids))
         whole = uids.astype(np.int64)
         bad = (whole != uids) | (whole < 1) | (whole > self._id_space)
         if bad.any():
@@ -320,9 +311,16 @@ class WirelessNetwork:
 
     def is_connected(self) -> bool:
         """Whether the communication graph is connected."""
-        edges = self._edges()
-        adjacency = coo_matrix((np.ones(len(edges)), edges.T), shape=(self.size, self.size))
-        return csgraph.connected_components(adjacency, directed=False)[0] == 1
+        # Hook edges' roots under the smaller label and halve chains; a fixpoint labels components.
+        i, j = self._edges().T
+        labels, previous = np.arange(self.size), None
+        while not np.array_equal(labels, previous):
+            previous, low = labels, np.minimum(labels[i], labels[j])
+            labels = labels.copy()
+            np.minimum.at(labels, previous[i], low)
+            np.minimum.at(labels, previous[j], low)
+            labels = labels[labels]
+        return bool((labels == 0).all())
 
     def diameter_hops(self, source_uid: Optional[int] = None) -> int:
         """Hop diameter of the communication graph (eccentricity of ``source_uid``).

@@ -316,11 +316,11 @@ class TestNetworkCacheInvalidation:
         new_uids = network.add_nodes(rng.uniform(0, 2.5, size=(2, 2)))
         assert [network.index_of(u) for u in new_uids] == [10, 11]
         assert np.array_equal(
-            network.indices_of_array(np.array(new_uids)), np.array([10, 11])
+            network.indices_of(np.array(new_uids)), np.array([10, 11])
         )
         network.remove_nodes([network.uids[0]])
         assert network.size == 11
-        lookup_indices = network.indices_of_array(network.uid_array)
+        lookup_indices = network.indices_of(network.uid_array)
         assert np.array_equal(lookup_indices, np.arange(11))
         self.assert_geometry_matches_fresh(network)
 

@@ -161,6 +161,14 @@ class TestCommunicationGraph:
         assert network.max_degree() == max((d for _, d in graph.degree()), default=0)
         assert network.is_connected() == (len(graph) == 1 or nx.is_connected(graph))
 
+    def test_connectivity_matches_networkx_on_random_placements(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            network = WirelessNetwork(rng.uniform(0, rng.uniform(0.5, 6.0), size=(n, 2)))
+            graph = network.communication_graph
+            assert network.is_connected() == (n == 1 or nx.is_connected(graph))
+
     def test_density_at_least_one(self):
         network = WirelessNetwork(line_positions(6))
         assert network.density() >= 1
