@@ -207,7 +207,9 @@ class WirelessNetwork:
 
     def index_of(self, uid: int) -> int:
         """Dense index of the node with identifier ``uid``."""
-        return int(self.indices_of((uid,))[0])
+        if not (0 < uid <= self._id_space and uid == int(uid) and self.uid_index_lookup[int(uid)] >= 0):
+            raise KeyError(uid)
+        return int(self.uid_index_lookup[int(uid)])
 
     def uid_of(self, index: int) -> int:
         """Identifier of the node at dense index ``index``."""
@@ -222,13 +224,14 @@ class WirelessNetwork:
 
     @property
     def uid_index_lookup(self) -> np.ndarray:
-        """``(id_space + 1,)`` array mapping uid -> dense index (-1 if absent).
+        """``(id_space + 2,)`` array mapping uid -> dense index (-1 if absent).
 
         Built lazily once; :meth:`indices_of` translates whole uid arrays
-        through it in one vectorized gather.
+        through it in one clipped gather, which the -1 at both ends (uid 0
+        and ``id_space + 1``) turns into a range check.
         """
         if self._uid_lookup is None:
-            lookup = np.full(self._id_space + 1, -1, dtype=np.int64)
+            lookup = np.full(self._id_space + 2, -1, dtype=np.int64)
             lookup[self._uid_array] = np.arange(len(self._uid_array), dtype=np.int64)
             self._uid_lookup = lookup
         return self._uid_lookup
@@ -238,12 +241,10 @@ class WirelessNetwork:
         # An inferred dtype, so a float uid is checked, not truncated.
         uids = uids if isinstance(uids, np.ndarray) else np.asarray(list(uids))
         whole = uids.astype(np.int64)
-        bad = (whole != uids) | (whole < 1) | (whole > self._id_space)
+        indices = self.uid_index_lookup.take(whole, mode="clip")
+        bad = (indices < 0) | (whole != uids)
         if bad.any():
             raise KeyError(uids[bad][0].item())
-        indices = self.uid_index_lookup[whole]
-        if indices.size and indices.min() < 0:
-            raise KeyError(int(whole[indices < 0][0]))
         return indices
 
     # ------------------------------------------------------------------ #
