@@ -151,7 +151,7 @@ class SINRSimulator:
             self._round += 1
             return {}
 
-        tx_uids = np.fromiter(transmissions, dtype=np.int64, count=len(transmissions))
+        tx_uids = np.asarray(list(transmissions))
         deliveries = self.run_schedule_table(
             1,
             np.zeros(len(tx_uids), dtype=np.int64),
@@ -189,9 +189,8 @@ class SINRSimulator:
         batch and a round-by-round loop agree.
         """
         tx_round_ids = np.ascontiguousarray(tx_round_ids, dtype=np.int64)
-        tx_uids = np.ascontiguousarray(tx_uids, dtype=np.int64)
         network = self._network
-        tx_indices = network.indices_of(tx_uids)
+        tx_indices = network.indices_of(np.asarray(tx_uids))
         indptr = np.searchsorted(tx_round_ids, np.arange(num_rounds + 1))
 
         # The eligible listener pool is round-independent: waking (the only
@@ -213,7 +212,7 @@ class SINRSimulator:
         uids = self._uids
         receiver_uids = uids[table.receivers]
         sender_uids = uids[table.senders]
-        self._messages_sent += len(tx_uids)
+        self._messages_sent += len(tx_indices)
         self._messages_delivered += len(table)
         self._round += num_rounds
         return ScheduleDeliveries(

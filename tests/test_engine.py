@@ -72,6 +72,14 @@ class TestRunRound:
             sim.run_round({1: Message(sender=1)}, listeners=[2, unknown])
         assert caught.value.args == (unknown,)
 
+    def test_fractional_transmitter_uid_raises_key_error(self):
+        sim = SINRSimulator(path_network())
+        with pytest.raises(KeyError):
+            sim.run_round({2.5: Message(sender=2)})
+        with pytest.raises(KeyError):
+            sim.run_schedule_table(1, np.array([0]), np.array([2.5]))
+        assert sim.current_round == 0 and sim.messages_sent == 0
+
     def test_sleeping_nodes_do_not_listen_by_default(self):
         sim = SINRSimulator(path_network())
         sim.put_all_to_sleep(except_for=[1])
