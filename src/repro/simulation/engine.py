@@ -190,7 +190,7 @@ class SINRSimulator:
         """
         tx_round_ids = np.ascontiguousarray(tx_round_ids, dtype=np.int64)
         network = self._network
-        tx_indices = network.indices_of(np.asarray(tx_uids))
+        tx_indices = network.indices_of(tx_uids)
         indptr = np.searchsorted(tx_round_ids, np.arange(num_rounds + 1))
 
         # The eligible listener pool is round-independent: waking (the only
