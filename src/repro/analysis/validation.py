@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..sinr.geometry import cluster_density, find_close_pairs, unit_ball_density
+from ..sinr.geometry import cluster_density, find_close_pairs, pairs_within, unit_ball_density
 from ..sinr.network import WirelessNetwork
 
 
@@ -73,13 +73,25 @@ def clusters_meeting_ball(
     network: WirelessNetwork, cluster_of: Mapping[int, int], center_uid: int, radius: float
 ) -> int:
     """Number of distinct clusters with a member inside ``B(center_uid, radius)``."""
-    center = np.array(network.position_of(center_uid))
-    seen: Set[int] = set()
-    for uid, cluster in cluster_of.items():
-        position = np.array(network.position_of(uid))
-        if np.linalg.norm(position - center) <= radius + 1e-12:
-            seen.add(cluster)
-    return len(seen)
+    return int(_clusters_meeting_balls(network, cluster_of, [center_uid], radius)[0])
+
+
+def _clusters_meeting_balls(
+    network: WirelessNetwork, cluster_of: Mapping[int, int], center_uids: Sequence[int], radius: float
+) -> np.ndarray:
+    """Per centre, the number of distinct clusters with a member inside ``B(centre, radius)``."""
+    if not cluster_of:
+        return np.zeros(len(center_uids), dtype=np.int64)
+    members = network.positions[network.indices_of(list(cluster_of))]
+    centers = network.positions[network.indices_of(center_uids)]
+    reach = radius + 1e-12
+    # The join runs a hair wide, so the norm filter below alone decides the boundary.
+    center, member = pairs_within(members, reach * (1.0 + 1e-9), queries=centers).T
+    inside = np.linalg.norm(members[member] - centers[center], axis=1) <= reach
+    _, cluster = np.unique(np.fromiter(cluster_of.values(), dtype=np.int64), return_inverse=True)
+    span = int(cluster.max()) + 1
+    met = np.unique(center[inside] * span + cluster[member[inside]])
+    return np.bincount(met // span, minlength=len(centers))
 
 
 def validate_clustering(
@@ -102,10 +114,8 @@ def validate_clustering(
     radii = {cluster: cluster_radius(network, members) for cluster, members in groups.items()}
     worst_radius = max(radii.values(), default=0.0)
 
-    overlap = 0
     unit = network.params.transmission_range
-    for uid in cluster_of:
-        overlap = max(overlap, clusters_meeting_ball(network, cluster_of, uid, unit))
+    overlap = int(_clusters_meeting_balls(network, cluster_of, list(cluster_of), unit).max(initial=0))
 
     if max_overlap is None:
         eps = network.params.epsilon

@@ -38,21 +38,11 @@ class LocationAwareResult:
 
     def completed(self, network) -> bool:
         """Whether every node reached all of its communication-graph neighbours."""
-        return all(
-            set(network.neighbors(uid)) <= self.delivered.get(uid, set())
-            for uid in network.uids
-        )
+        return network.served_fraction(self.delivered) == 1.0
 
     def completion_ratio(self, network) -> float:
         """Fraction of (node, neighbour) pairs served."""
-        total = 0
-        served = 0
-        for uid in network.uids:
-            for neighbor in network.neighbors(uid):
-                total += 1
-                if neighbor in self.delivered.get(uid, set()):
-                    served += 1
-        return served / total if total else 1.0
+        return network.served_fraction(self.delivered)
 
 
 def _grid_color(position: Tuple[float, float], cell: float, period: int) -> Tuple[int, int]:

@@ -44,20 +44,11 @@ class RandomizedLocalBroadcastResult:
 
     def completed(self, network) -> bool:
         """Whether every node reached all of its communication-graph neighbours."""
-        return all(
-            set(network.neighbors(uid)) <= self.receivers_of(uid) for uid in network.uids
-        )
+        return network.served_fraction(self.delivered) == 1.0
 
     def completion_ratio(self, network) -> float:
         """Fraction of (node, neighbour) pairs already served."""
-        total = 0
-        served = 0
-        for uid in network.uids:
-            for neighbor in network.neighbors(uid):
-                total += 1
-                if neighbor in self.receivers_of(uid):
-                    served += 1
-        return served / total if total else 1.0
+        return network.served_fraction(self.delivered)
 
 
 #: Rounds per :meth:`SINRSimulator.run_schedule_table` call.  The simulator

@@ -31,10 +31,7 @@ class TDMALocalBroadcastResult:
 
     def completed(self, network) -> bool:
         """Whether every node reached all of its neighbours (always true here)."""
-        return all(
-            set(network.neighbors(uid)) <= self.delivered.get(uid, set())
-            for uid in network.uids
-        )
+        return network.served_fraction(self.delivered) == 1.0
 
 
 @dataclass

@@ -66,10 +66,7 @@ class GlobalBroadcastResult:
 
     def local_broadcast_completed(self, network) -> bool:
         """Condition (b) of the SMSB problem: every awake node reached its neighbours."""
-        for uid in self.reached():
-            if not set(network.neighbors(uid)) <= self.delivered.get(uid, set()):
-                return False
-        return True
+        return network.served_fraction(self.delivered, senders=self.reached()) == 1.0
 
 
 def sms_broadcast(

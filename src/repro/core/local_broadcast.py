@@ -49,18 +49,11 @@ class LocalBroadcastResult:
 
     def completed(self, network) -> bool:
         """Whether the local broadcast task is complete for every node."""
-        return all(self.completed_for(network, uid) for uid in network.uids)
+        return network.served_fraction(self.delivered) == 1.0
 
     def completion_ratio(self, network) -> float:
         """Fraction of (node, neighbour) pairs served; 1.0 means task complete."""
-        total = 0
-        served = 0
-        for uid in network.uids:
-            for neighbor in network.neighbors(uid):
-                total += 1
-                if neighbor in self.receivers_of(uid):
-                    served += 1
-        return served / total if total else 1.0
+        return network.served_fraction(self.delivered)
 
 
 def local_broadcast(

@@ -8,7 +8,9 @@ This module provides the plane-geometry notions of Section 2:
 * the critical distance ``d_{Gamma, r}`` -- the smallest ``d`` with
   ``chi(r, d) >= Gamma / 2``;
 * density of clustered and unclustered node sets;
-* close pairs (Definition 1) and their existence (Lemma 1).
+* close pairs (Definition 1) and their existence (Lemma 1);
+* the fixed-radius join every distance query above runs on (the
+  communication graph's edges, ball counts, the closest pair).
 
 Everything here operates on plain numpy arrays of positions so that it can be
 used both by the physics engine and by the validation utilities; the
@@ -20,14 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from ..selectors._csr import expand_slices, sorted_lookup
 from .model import NUMERIC_TOLERANCE
 
 Point = Tuple[float, float]
+
+#: Candidate distances one block of the fixed-radius join evaluates at most,
+#: which bounds the join's transient memory on any placement.
+_JOIN_BLOCK = 1 << 16
 
 
 def distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -102,6 +108,122 @@ def critical_distance(gamma: int, r: float) -> float:
     return 2.0 * r / (math.sqrt(target) - 1.0)
 
 
+def _join_blocks(
+    points: np.ndarray, queries: Optional[np.ndarray], radius: float
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The fixed-radius join of ``queries`` (``None``: the points) against ``points``.
+
+    Points are bucketed into square cells a hair wider than ``radius``, and
+    only occupied cells are indexed.  Each query is tested against the 3x3
+    block of cells around its own with ``dx*dx + dy*dy <= radius*radius``,
+    cKDTree's arithmetic, so boundary pairs agree.  Queries run smallest
+    block first, so padding stays small, and a yielded block holds at most
+    ``_JOIN_BLOCK`` candidates (or one query): ``(rows, cand, row_cell,
+    within)``, the query indices, a ``(cells, width)`` table of candidate
+    point indices (``len(points)`` pads), each row's line of it, and the
+    ``(rows, width)`` predicate.  When every pair fits one block, that block
+    is the whole join and no cells are built.
+    """
+    if len(points) * len(points if queries is None else queries) <= _JOIN_BLOCK:
+        queries = points if queries is None else queries
+        rows, cand = np.arange(len(queries)), np.arange(len(points))[None, :]
+        yield rows, cand, 0 * rows, _within(points.T[:, None, :], 0 * rows, queries, radius)
+        return
+    lo = points.min(axis=0)
+    # A hair over radius, so rounding never puts a pair within it two cells apart; at least
+    # 2^-30 of the span, so cell keys stay in int64.
+    side = (max(radius, float(np.ptp(points, axis=0).max()) * 2.0**-30) or 1.0) * (1.0 + 2.0**-20)
+    cells = np.floor((points - lo) / side).astype(np.int64)
+    top = cells.max(axis=0) + 1
+    stride = int(top[1]) + 2  # one empty slot either side of a column: no key aliases a neighbour
+    keys = cells[:, 0] * stride + cells[:, 1] + 1
+    order = np.argsort(keys, kind="stable")
+    occupied, start, count = np.unique(keys[order], return_index=True, return_counts=True)
+    if queries is None:
+        queries, query_keys = points, keys
+    else:
+        clipped = np.floor(np.clip((queries - lo) / side, -1, top)).astype(np.int64)
+        query_keys = clipped[:, 0] * stride + clipped[:, 1] + 1
+    # Each query cell's 3x3 block as runs of the cell-sorted points, gathered into one CSR.
+    query_cells, cell_of = np.unique(query_keys, return_inverse=True)
+    wanted = query_cells[:, None] + (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
+    hit, at = sorted_lookup(occupied, wanted)
+    runs = np.where(hit, count[at], 0)
+    size = runs.sum(axis=1)
+    first = np.cumsum(size) - size
+    members = np.append(order[expand_slices(start[at].ravel(), runs.ravel())], len(points))
+    padded = np.hstack([points.T, [[np.inf], [np.inf]]])
+    by_size = np.lexsort((cell_of, size[cell_of]))
+    sizes = size[cell_of[by_size]]
+    a, total = 0, len(by_size)
+    while a < total:
+        guess = int(sizes[max(a + 1, min(total, a + _JOIN_BLOCK // max(int(sizes[a]), 1))) - 1])
+        b = min(total, a + max(1, _JOIN_BLOCK // max(guess, 1)))
+        rows, width, a = by_size[a:b], int(sizes[b - 1]), b
+        if width:
+            block_cells, row_cell = np.unique(cell_of[rows], return_inverse=True)
+            col = np.arange(width)
+            slot = first[block_cells, None] + col
+            cand = members[np.where(col < size[block_cells, None], slot, len(members) - 1)]
+            yield rows, cand, row_cell, _within(padded[:, cand], row_cell, queries[rows], radius)
+
+
+def _within(xy: np.ndarray, row_cell: np.ndarray, queries: np.ndarray, radius: float) -> np.ndarray:
+    """``dx*dx + dy*dy <= radius*radius`` of each query against its cell's ``(2, cells, width)`` candidates."""
+    dx = xy[0][row_cell]
+    dx -= queries[:, 0:1]
+    dx *= dx
+    dy = xy[1][row_cell]
+    dy -= queries[:, 1:2]
+    dy *= dy
+    dx += dy
+    return dx <= radius * radius
+
+
+def _squared_gaps(positions: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """``dx*dx + dy*dy`` of each index pair: the join's arithmetic, to the last bit."""
+    gaps = positions[pairs[:, 0]] - positions[pairs[:, 1]]
+    return gaps[:, 0] * gaps[:, 0] + gaps[:, 1] * gaps[:, 1]
+
+
+def pairs_within(
+    positions: np.ndarray, radius: float, queries: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Index pairs at distance at most ``radius``, as an ``(m, 2)`` array.
+
+    Without ``queries`` this is the self join: pairs ``i < j`` of
+    ``positions`` in lexicographic order (``cKDTree.query_pairs``).  With
+    ``queries`` it is the rows ``(query index, position index)`` of every
+    position within ``radius`` of each query, in no particular order.
+    """
+    positions = np.asarray(positions, dtype=float)
+    queries = None if queries is None else np.asarray(queries, dtype=float).reshape(-1, 2)
+    n = len(positions)
+    found: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    if n:
+        for rows, cand, row_cell, within in _join_blocks(positions, queries, radius):
+            line, col = np.nonzero(within)
+            query = rows[line]
+            point = cand.ravel().take(row_cell[line] * cand.shape[1] + col)
+            keep = slice(None) if queries is not None else query < point
+            found.append(query[keep] * n + point[keep])
+    keys = np.concatenate(found)
+    if queries is None:
+        keys.sort()
+    return np.column_stack(np.divmod(keys, n)) if n else keys.reshape(0, 2)
+
+
+def counts_within(positions: np.ndarray, queries: np.ndarray, radius: float) -> np.ndarray:
+    """Number of ``positions`` within distance ``radius`` of each query."""
+    positions = np.asarray(positions, dtype=float)
+    queries = np.asarray(queries, dtype=float).reshape(-1, 2)
+    counts = np.zeros(len(queries), dtype=np.int64)
+    if len(positions):
+        for rows, _, _, within in _join_blocks(positions, queries, radius):
+            counts[rows] = np.count_nonzero(within, axis=1)
+    return counts
+
+
 def unit_ball_density(positions: np.ndarray, radius: float = 1.0) -> int:
     """Density of an unclustered set: the largest number of nodes in any ball.
 
@@ -116,15 +238,15 @@ def unit_ball_density(positions: np.ndarray, radius: float = 1.0) -> int:
     positions = np.asarray(positions, dtype=float)
     if len(positions) == 0:
         return 0
-    tree = cKDTree(positions)
-    counts = tree.query_ball_point(positions, r=radius + NUMERIC_TOLERANCE, return_length=True)
-    best = int(np.max(counts))
-    # Also probe midpoints of nearby pairs to catch densities not centred on a node.
-    pairs = tree.query_pairs(r=radius, output_type="ndarray")
+    reach = radius + NUMERIC_TOLERANCE
+    pairs = pairs_within(positions, reach)
+    # A node-centred ball holds the node and its partners at reach.
+    best = 1 + int(np.bincount(pairs.ravel(), minlength=len(positions)).max())
+    # Also probe midpoints of pairs within the radius itself, to catch densities not centred on a node.
+    pairs = pairs[_squared_gaps(positions, pairs) <= radius * radius]
     if len(pairs):
         midpoints = (positions[pairs[:, 0]] + positions[pairs[:, 1]]) / 2.0
-        mid_counts = tree.query_ball_point(midpoints, r=radius + NUMERIC_TOLERANCE, return_length=True)
-        best = max(best, int(np.max(mid_counts)))
+        best = max(best, int(counts_within(positions, midpoints, reach).max()))
     return best
 
 
@@ -222,21 +344,13 @@ def find_close_pairs(
         dist = pairwise_distances(member_positions)
         np.fill_diagonal(dist, np.inf)
         nearest = dist.argmin(axis=1)
-        for local_u, local_w in enumerate(nearest):
-            if local_u >= local_w:
-                # Consider each unordered pair once, from its smaller index.
-                if nearest[local_w] != local_u:
-                    continue
-                if local_w > local_u:
-                    continue
-            if nearest[int(local_w)] != local_u:
+        for local_u, local_w in enumerate(nearest.tolist()):
+            u, w = members[local_u], members[local_w]
+            # Each mutual-nearest pair once, from its smaller index.
+            if nearest[local_w] != local_u or u >= w:
                 continue
-            d_uw = float(dist[local_u, int(local_w)])
+            d_uw = float(dist[local_u, local_w])
             if d_uw > threshold + NUMERIC_TOLERANCE:
-                continue
-            u = members[local_u]
-            w = members[int(local_w)]
-            if u >= w:
                 continue
             if not _candidate_scale(positions, u, w, members, d_uw):
                 continue
@@ -269,6 +383,12 @@ def minimum_pairwise_distance(positions: np.ndarray) -> float:
     positions = np.asarray(positions, dtype=float)
     if len(positions) < 2:
         return float("inf")
-    tree = cKDTree(positions)
-    dists, _ = tree.query(positions, k=2)
-    return float(np.min(dists[:, 1]))
+    # Double a join radius until some pair lies within it; the closest pair is among those.
+    radius = float(np.ptp(positions, axis=0).max()) / len(positions)
+    if radius == 0.0:
+        return 0.0
+    pairs = pairs_within(positions, radius)
+    while not len(pairs):
+        radius *= 2.0
+        pairs = pairs_within(positions, radius)
+    return float(np.sqrt(_squared_gaps(positions, pairs).min()))

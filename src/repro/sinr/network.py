@@ -7,7 +7,7 @@
   (selected by the ``backend`` argument: dense matrix, lazy blocks or the
   spatial grid),
 * the *communication graph* (edges between nodes at distance <= 1 - eps,
-  Section 1.1),
+  Section 1.1), kept as one cached edge array and a CSR adjacency over it,
 * the global knowledge every node shares: the ID space bound ``N``, the
   degree/density bound ``Delta``, and the SINR parameters.
 
@@ -27,8 +27,8 @@ Networks are no longer frozen at construction: :meth:`WirelessNetwork.move_nodes
 are the *single* mutation API for time-varying scenarios
 (:mod:`repro.dynamics`).  Every mutation updates the physics backend
 incrementally and routes through ``_invalidate_geometry_caches()``, so the
-cached communication graph, uid lookup table and measured density bound can
-never serve stale answers.  A :class:`~repro.simulation.engine.SINRSimulator`
+cached edge array and adjacency, uid lookup table and measured density bound
+can never serve stale answers.  A :class:`~repro.simulation.engine.SINRSimulator`
 snapshots the uid array at construction -- build a fresh simulator after
 mutating (the epoch runner does exactly that).
 
@@ -39,14 +39,13 @@ so a run leaves the network exactly as it found it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
-from scipy.spatial import cKDTree
 
+from ..selectors._csr import expand_slices
 from .backends import DenseMatrixBackend, PhysicsBackend, make_backend
-from .geometry import unit_ball_density
+from .geometry import pairs_within, unit_ball_density
 from .model import NUMERIC_TOLERANCE, SINRParameters
 
 
@@ -155,7 +154,8 @@ class WirelessNetwork:
         self._uid_lookup: Optional[np.ndarray] = None
         # Geometry-derived state is cached lazily and invalidated by every
         # placement mutation (see _invalidate_geometry_caches).
-        self._graph: Optional[nx.Graph] = None
+        self._edge_pairs: Optional[np.ndarray] = None
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # A user-supplied Delta stays in force across mutations (it is shared
         # *knowledge*, not a measurement); a measured one is re-measured
         # lazily whenever the placement changes.
@@ -274,29 +274,47 @@ class WirelessNetwork:
         """Distance between two nodes (by ID), Euclidean or metric."""
         return self._physics.distance(self.index_of(uid_a), self.index_of(uid_b))
 
-    @property
-    def communication_graph(self) -> nx.Graph:
-        """The communication graph on node IDs (edges at distance <= 1 - eps).
+    def edges(self) -> np.ndarray:
+        """The communication graph's edges (distance <= 1 - eps) as ``(m, 2)`` uid pairs.
 
-        Built lazily and cached; every placement mutation invalidates the
-        cache, so the graph (and everything derived from it: degrees, BFS
-        layers, diameter) always reflects the current positions.
+        One row per edge, in the order of the index pairs ``i < j``.  The
+        edge array is built once per placement; every mutation invalidates
+        it, so the edges (and the degrees, BFS layers and diameter read off
+        them) always reflect the current positions.
         """
-        if self._graph is None:
-            self._graph = self._build_communication_graph()
-        return self._graph
+        return self._uid_array[self._edges()]
 
     def neighbors(self, uid: int) -> List[int]:
-        """IDs of the communication-graph neighbours of ``uid``."""
-        return sorted(self.communication_graph.neighbors(uid))
+        """IDs of the communication-graph neighbours of ``uid``, ascending."""
+        indptr, adjacent = self._adjacency()
+        index = self.index_of(uid)
+        return self._uid_array[adjacent[indptr[index] : indptr[index + 1]]].tolist()
 
     def degree(self, uid: int) -> int:
         """Communication-graph degree of node ``uid``."""
-        return int(self.communication_graph.degree[uid])
+        indptr, _ = self._adjacency()
+        index = self.index_of(uid)
+        return int(indptr[index + 1] - indptr[index])
+
+    def served_fraction(
+        self, delivered: Mapping[int, Collection[int]], senders: Optional[Iterable[int]] = None
+    ) -> float:
+        """Fraction of (node, neighbour) pairs with the neighbour in ``delivered[node]``.
+
+        The local broadcast task's measure: ``1.0`` means every node (of
+        ``senders``, if given) reached all its communication-graph
+        neighbours, as it does when there is no such pair.
+        """
+        sender, receiver = np.concatenate([self.edges(), self.edges()[:, ::-1]]).T
+        if senders is not None:
+            keep = np.isin(sender, np.fromiter(senders, dtype=np.int64))
+            sender, receiver = sender[keep], receiver[keep]
+        served = sum(r in delivered.get(s, ()) for s, r in zip(sender.tolist(), receiver.tolist()))
+        return served / len(sender) if len(sender) else 1.0
 
     def max_degree(self) -> int:
         """Largest degree in the communication graph."""
-        return int(np.bincount(self._edges().ravel(), minlength=self.size).max())
+        return int(np.diff(self._adjacency()[0]).max())
 
     def density(self) -> int:
         """Unit-ball density of the placement (the paper's Gamma).
@@ -312,16 +330,7 @@ class WirelessNetwork:
 
     def is_connected(self) -> bool:
         """Whether the communication graph is connected."""
-        # Hook edges' roots under the smaller label and halve chains; a fixpoint labels components.
-        i, j = self._edges().T
-        labels, previous = np.arange(self.size), None
-        while not np.array_equal(labels, previous):
-            previous, low = labels, np.minimum(labels[i], labels[j])
-            labels = labels.copy()
-            np.minimum.at(labels, previous[i], low)
-            np.minimum.at(labels, previous[j], low)
-            labels = labels[labels]
-        return bool((labels == 0).all())
+        return bool((self._hops(0) >= 0).all())
 
     def diameter_hops(self, source_uid: Optional[int] = None) -> int:
         """Hop diameter of the communication graph (eccentricity of ``source_uid``).
@@ -330,19 +339,17 @@ class WirelessNetwork:
         diameter; otherwise returns the eccentricity of the given source
         restricted to its connected component.
         """
-        if self.size == 1:
-            return 0
-        graph = self.communication_graph
         if source_uid is not None:
-            lengths = nx.single_source_shortest_path_length(graph, source_uid)
-            return max(lengths.values())
-        if not nx.is_connected(graph):
+            return int(self._hops(self.index_of(source_uid)).max())
+        if not self.is_connected():
             raise ValueError("diameter of a disconnected communication graph is undefined")
-        return nx.diameter(graph)
+        return max(int(self._hops(index).max()) for index in range(self.size))
 
     def bfs_layers(self, source_uid: int) -> Dict[int, int]:
         """Hop distance from ``source_uid`` to every reachable node (by ID)."""
-        return dict(nx.single_source_shortest_path_length(self.communication_graph, source_uid))
+        hops = self._hops(self.index_of(source_uid))
+        reached = np.flatnonzero(hops >= 0)
+        return dict(zip(self._uid_array[reached].tolist(), hops[reached].tolist()))
 
     # ------------------------------------------------------------------ #
     # Placement mutation (dynamic networks) -- the single mutation API.
@@ -352,11 +359,13 @@ class WirelessNetwork:
         """Drop every cache derived from the placement or the uid set.
 
         All mutation routes through here; anything cached from geometry
-        (communication graph and its BFS/diameter/degree derivatives, the
-        measured density bound, the uid->index translation table) is rebuilt
-        lazily on next access instead of serving stale answers.
+        (the edge array and the adjacency that degrees, BFS layers and the
+        diameter read, the measured density bound, the uid->index
+        translation table) is rebuilt lazily on next access instead of
+        serving stale answers.
         """
-        self._graph = None
+        self._edge_pairs = None
+        self._csr = None
         self._uid_lookup = None
         if not self._delta_bound_fixed:
             self._delta_bound = None
@@ -444,17 +453,41 @@ class WirelessNetwork:
     # ------------------------------------------------------------------ #
 
     def _edges(self) -> np.ndarray:
-        """Index pairs ``i < j`` of the communication graph's edges (cheaper than its networkx form)."""
-        reach = self._params.communication_radius + NUMERIC_TOLERANCE
-        if self._positions is None:
-            return np.argwhere(np.triu(self._physics.distances <= reach, k=1))
-        return cKDTree(self._positions).query_pairs(r=reach, output_type="ndarray")
+        """Index pairs ``i < j`` of the communication graph's edges, sorted (cached, read-only)."""
+        if self._edge_pairs is None:
+            reach = self._params.communication_radius + NUMERIC_TOLERANCE
+            if self._positions is None:
+                pairs = np.argwhere(np.triu(self._physics.distances <= reach, k=1))
+            else:
+                pairs = pairs_within(self._positions, reach)
+            pairs.flags.writeable = False
+            self._edge_pairs = pairs
+        return self._edge_pairs
 
-    def _build_communication_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(self._uid_array.tolist())
-        graph.add_edges_from(self._uid_array[self._edges()].tolist())
-        return graph
+    def _adjacency(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, neighbour indices)`` of the edges, each row ascending by uid (cached)."""
+        if self._csr is None:
+            i, j = self._edges().T
+            rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+            order = np.lexsort((self._uid_array[cols], rows))
+            indptr = np.zeros(self.size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.size), out=indptr[1:])
+            self._csr = (indptr, cols[order])
+        return self._csr
+
+    def _hops(self, source: int) -> np.ndarray:
+        """Hop distance of every node from index ``source`` (-1 where unreachable)."""
+        indptr, adjacent = self._adjacency()
+        hops = np.full(self.size, -1, dtype=np.int64)
+        hops[source] = 0
+        frontier, level = np.array([source]), 0
+        while len(frontier):
+            level += 1
+            starts = indptr[frontier]
+            reached = adjacent[expand_slices(starts, indptr[frontier + 1] - starts)]
+            frontier = np.unique(reached[hops[reached] < 0])
+            hops[frontier] = level
+        return hops
 
     def describe(self) -> str:
         """One-line summary for logs and examples."""

@@ -292,9 +292,7 @@ class TestNetworkCacheInvalidation:
 
     def assert_geometry_matches_fresh(self, network: WirelessNetwork):
         fresh = self.fresh_clone(network)
-        assert sorted(network.communication_graph.edges()) == sorted(
-            fresh.communication_graph.edges()
-        )
+        assert sorted(network.edges().tolist()) == sorted(fresh.edges().tolist())
         assert network.max_degree() == fresh.max_degree()
         assert network.density() == fresh.density()
         for uid in network.uids:
@@ -304,7 +302,7 @@ class TestNetworkCacheInvalidation:
     def test_move_invalidates_graph_degree_diameter(self):
         rng = np.random.default_rng(2)
         network = WirelessNetwork(rng.uniform(0, 2.5, size=(18, 2)))
-        _ = network.communication_graph  # populate the cache
+        _ = network.edges()  # populate the cache
         _ = network.max_degree()
         network.move_nodes(network.uids[:6], rng.uniform(0, 2.5, size=(6, 2)))
         self.assert_geometry_matches_fresh(network)

@@ -129,9 +129,9 @@ class TestMetricMatchesPositional:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_graph_and_bit_identical_algorithms(self, seed):
         positional, metric = twin_networks(seed)
-        edges = {frozenset(e) for e in positional.communication_graph.edges()}
-        assert edges == {frozenset(e) for e in metric.communication_graph.edges()}
-        assert set(positional.communication_graph) == set(metric.communication_graph)
+        edges = {frozenset(e) for e in positional.edges().tolist()}
+        assert edges == {frozenset(e) for e in metric.edges().tolist()}
+        assert set(positional.uids) == set(metric.uids)
 
         config = AlgorithmConfig.fast()
         by_points = local_broadcast(SINRSimulator(positional), config=config)

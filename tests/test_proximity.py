@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.validation import proximity_graph_covers_close_pairs
 from repro.core import AlgorithmConfig, build_proximity_graph, distributed_mis, neighbor_exchange
 from repro.core.primitives import run_sns, sns_for, wcss_for, wss_for
-from repro.analysis.validation import proximity_graph_covers_close_pairs
 from repro.selectors.mis import is_maximal_independent_set
 from repro.simulation import SINRSimulator
 from repro.sinr import deployment
