@@ -90,7 +90,7 @@ def _experiment():
         results[f"delta_{delta}_ours"] = ours.rounds_used
         results[f"delta_{delta}_rand_known"] = rand_known.rounds_used
         results[f"delta_{delta}_tdma"] = tdma.rounds_used
-        results[f"delta_{delta}_completed"] = bool(ours.completed(network))
+        results[f"delta_{delta}_completed"] = ours.delivered.served_fraction(network) == 1.0
 
     table.add_note("rounds are simulated SINR rounds; shapes, not constants, are comparable")
     print()

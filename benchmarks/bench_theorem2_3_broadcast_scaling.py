@@ -49,13 +49,13 @@ def _experiment():
             rounds=outcome.rounds_used,
             **{
                 "Delta*logN*log*N": round(local_broadcast_bound(delta, network.id_space), 1),
-                "completed": "yes" if outcome.completed(network) else "NO",
+                "completed": "yes" if outcome.delivered.served_fraction(network) == 1.0 else "NO",
             },
         )
         deltas.append(float(delta))
         local_rounds.append(float(outcome.rounds_used))
         results[f"local_delta{delta:03d}"] = outcome.rounds_used
-        results[f"local_delta{delta:03d}_done"] = bool(outcome.completed(network))
+        results[f"local_delta{delta:03d}_done"] = outcome.delivered.served_fraction(network) == 1.0
     local_fit = power_law_exponent(deltas, local_rounds)
     local_table.add_note(f"local broadcast rounds grow as Delta^{local_fit.exponent:.2f}")
 

@@ -18,7 +18,6 @@ from .validation import (
     cluster_radius,
     clusters_meeting_ball,
     density_of_subset,
-    local_broadcast_served,
     max_cluster_size,
     proximity_graph_covers_close_pairs,
     validate_clustering,
@@ -38,7 +37,6 @@ __all__ = [
     "density_of_subset",
     "global_broadcast_bound",
     "local_broadcast_bound",
-    "local_broadcast_served",
     "lower_bound_shape",
     "max_cluster_size",
     "normalized_against",

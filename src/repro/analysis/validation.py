@@ -10,8 +10,7 @@ output satisfies the properties the paper proves:
   clustering theorem;
 * a proximity graph contains every close pair and has bounded degree --
   Lemma 7;
-* sparsification reduced the density as promised -- Lemmas 8-10;
-* local/global broadcast actually served every communication-graph edge.
+* sparsification reduced the density as promised -- Lemmas 8-10.
 """
 
 from __future__ import annotations
@@ -182,16 +181,3 @@ def max_cluster_size(cluster_of: Mapping[int, int], subset: Optional[Iterable[in
     subset_set = set(subset)
     restricted = {uid: c for uid, c in cluster_of.items() if uid in subset_set}
     return cluster_density(restricted)
-
-
-def local_broadcast_served(
-    network: WirelessNetwork, delivered: Mapping[int, Set[int]]
-) -> Tuple[bool, List[Tuple[int, int]]]:
-    """Check that every (node, neighbour) pair of the communication graph was served."""
-    missing: List[Tuple[int, int]] = []
-    for uid in network.uids:
-        receivers = delivered.get(uid, set())
-        for neighbor in network.neighbors(uid):
-            if neighbor not in receivers:
-                missing.append((uid, neighbor))
-    return (not missing, missing)

@@ -28,6 +28,11 @@ from ..core import (
     local_broadcast,
     solve_wakeup,
 )
+
+# Importing the mobility module registers the built-in mobility models
+# (waypoint / drift / convoy / static) in the MOBILITY registry, exactly as
+# importing this module registers deployments and algorithms.
+from ..dynamics import mobility as _mobility  # noqa: F401
 from ..lowerbound import (
     build_gadget,
     check_blocking_property,
@@ -37,11 +42,6 @@ from ..lowerbound import (
     round_robin_algorithm,
 )
 from ..sinr import deployment
-
-# Importing the mobility module registers the built-in mobility models
-# (waypoint / drift / convoy / static) in the MOBILITY registry, exactly as
-# importing this module registers deployments and algorithms.
-from ..dynamics import mobility as _mobility  # noqa: F401
 from .executor import AlgorithmOutcome
 from .registry import ALGORITHMS, DEPLOYMENTS, register_algorithm, register_deployment
 
@@ -136,7 +136,7 @@ def _run_cluster(sim, config, max_radius: float = 2.0) -> AlgorithmOutcome:
 @register_algorithm("local-broadcast", description="local broadcast (Algorithm 7, Theorem 2)")
 def _run_local_broadcast(sim, config) -> AlgorithmOutcome:
     result = local_broadcast(sim, config=config)
-    completed = result.completed(sim.network)
+    ratio = result.delivered.served_fraction(sim.network)
     return AlgorithmOutcome(
         rounds={
             "total": result.rounds_used,
@@ -144,11 +144,11 @@ def _run_local_broadcast(sim, config) -> AlgorithmOutcome:
             "labeling": result.rounds_labeling,
             "transmission": result.rounds_transmission,
         },
-        checks={"completed": completed},
+        checks={"completed": ratio == 1.0},
         metrics={
             "clusters": float(result.clustering.cluster_count()),
             "max_label": float(result.labeling.max_label()),
-            "completion_ratio": float(result.completion_ratio(sim.network)),
+            "completion_ratio": float(ratio),
         },
         raw=result,
     )
@@ -188,7 +188,7 @@ def _run_leader_election(sim, config) -> AlgorithmOutcome:
     result = elect_leader(sim, config=config)
     return AlgorithmOutcome(
         rounds={"total": result.rounds_used},
-        checks={"leader_elected": result.leader is not None},
+        checks={"leader_elected": result.elected(sim.network)},
         metrics={
             "leader": float(result.leader),
             "candidates": float(len(result.candidates)),
@@ -236,7 +236,7 @@ def _run_local_randomized(sim, config, seed: int = 1) -> AlgorithmOutcome:
     result = randomized_local_broadcast_known_density(sim, seed=seed)
     return AlgorithmOutcome(
         rounds={"total": result.rounds_used},
-        checks={"completed": result.completed(sim.network)},
+        checks={"completed": result.delivered.served_fraction(sim.network) == 1.0},
         raw=result,
     )
 
@@ -244,7 +244,8 @@ def _run_local_randomized(sim, config, seed: int = 1) -> AlgorithmOutcome:
 @register_algorithm("local-broadcast-tdma", description="TDMA round-robin local broadcast (deterministic anchor)")
 def _run_local_tdma(sim, config) -> AlgorithmOutcome:
     result = tdma_local_broadcast(sim)
-    return AlgorithmOutcome(rounds={"total": result.rounds_used}, raw=result)
+    completed = result.delivered.served_fraction(sim.network) == 1.0
+    return AlgorithmOutcome(rounds={"total": result.rounds_used}, checks={"completed": completed}, raw=result)
 
 
 @register_algorithm("global-broadcast-decay", description="randomized decay flood (Table 2 baseline)")

@@ -20,29 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..selectors.ssf import greedy_random_ssf
 from ..simulation.engine import SINRSimulator
 from ..simulation.messages import Message
-from ..simulation.schedule import run_schedule
+from ..simulation.schedule import DeliveryLedger, run_schedule
 
 
 @dataclass
 class LocationAwareResult:
     """Outcome of the location-aware deterministic local broadcast."""
 
-    delivered: Dict[int, Set[int]] = field(default_factory=dict)
+    delivered: DeliveryLedger = field(default_factory=DeliveryLedger)
     rounds_used: int = 0
     colors_used: int = 0
-
-    def completed(self, network) -> bool:
-        """Whether every node reached all of its communication-graph neighbours."""
-        return network.served_fraction(self.delivered) == 1.0
-
-    def completion_ratio(self, network) -> float:
-        """Fraction of (node, neighbour) pairs served."""
-        return network.served_fraction(self.delivered)
 
 
 def _grid_color(position: Tuple[float, float], cell: float, period: int) -> Tuple[int, int]:
@@ -91,7 +83,7 @@ def location_aware_local_broadcast(
         max_rounds=max(1, int(2.0 * delta * (math.log(max(network.id_space, 2)) + 1))),
     )
 
-    result = LocationAwareResult(delivered={uid: set() for uid in network.uids})
+    result = LocationAwareResult()
     start_round = sim.current_round
     for _ in range(max(1, sweeps)):
         for color in sorted(colors):
@@ -103,9 +95,7 @@ def location_aware_local_broadcast(
                 message_factory=lambda uid: Message(sender=uid, tag="grid-local"),
                 phase=f"grid:{color}",
             )
-            senders, receivers = outcome.delivery_pairs()
-            for sender, listener in zip(senders.tolist(), receivers.tolist()):
-                result.delivered[sender].add(listener)
+            result.delivered.add(*outcome.delivery_pairs())
     result.colors_used = len(colors)
     result.rounds_used = sim.current_round - start_round
     return result

@@ -23,32 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..simulation.engine import SINRSimulator
+from ..simulation.schedule import DeliveryLedger
 
 
 @dataclass
 class RandomizedLocalBroadcastResult:
     """Outcome of a randomized local-broadcast baseline run."""
 
-    delivered: Dict[int, Set[int]] = field(default_factory=dict)
+    delivered: DeliveryLedger = field(default_factory=DeliveryLedger)
     rounds_used: int = 0
     completed_round: Optional[int] = None
-
-    def receivers_of(self, uid: int) -> Set[int]:
-        """Nodes that decoded ``uid``'s message."""
-        return self.delivered.get(uid, set())
-
-    def completed(self, network) -> bool:
-        """Whether every node reached all of its communication-graph neighbours."""
-        return network.served_fraction(self.delivered) == 1.0
-
-    def completion_ratio(self, network) -> float:
-        """Fraction of (node, neighbour) pairs already served."""
-        return network.served_fraction(self.delivered)
 
 
 #: Rounds per :meth:`SINRSimulator.run_schedule_table` call.  The simulator
@@ -70,24 +59,21 @@ def _run_probabilistic_rounds(
     whole transmitter table is precomputed (one uniform draw per node per
     round, in uid order: the exact RNG stream a round-by-round execution
     would draw) and evaluated in blocks of ``_CHUNK_ROUNDS`` rounds via
-    :meth:`SINRSimulator.run_schedule_table`.  The completion check runs
-    after every round of a block, on a running count of undelivered
-    (node, neighbour) pairs; deliveries after the completion round are
-    discarded and ``completed_round`` / ``rounds_used`` keep the exact
-    round-by-round semantics (the simulator's global counter runs to the
-    end of the completing block, the price of batching).
+    :meth:`SINRSimulator.run_schedule_table`.  The run completes at the
+    first round after which every directed communication-graph edge was
+    served, found per block from a running count of first deliveries;
+    deliveries after it are discarded and ``completed_round`` /
+    ``rounds_used`` keep the exact round-by-round semantics (the
+    simulator's global counter runs to the end of the completing block).
     """
-    network = sim.network
-    uids = list(network.uids)
-    uid_array = np.asarray(uids, dtype=np.int64)
-    required = {uid: set(network.neighbors(uid)) for uid in uids}
-    # (node, neighbour) pairs not yet delivered: the run is complete at 0.
-    missing = sum(len(nbrs) for nbrs in required.values())
-    result = RandomizedLocalBroadcastResult(delivered={uid: set() for uid in uids})
+    uid_array = sim.network.uid_array
+    required = DeliveryLedger.edges_of(sim.network)
+    served = np.zeros(len(required), dtype=bool)
+    result = RandomizedLocalBroadcastResult()
     start_round = sim.current_round
 
     selected = [
-        np.flatnonzero(rng.random(len(uids)) < probability_of_round(local_round))
+        np.flatnonzero(rng.random(len(uid_array)) < probability_of_round(local_round))
         for local_round in range(1, max_rounds + 1)
     ]
     counts = np.fromiter((len(s) for s in selected), dtype=np.int64, count=max_rounds)
@@ -100,27 +86,27 @@ def _run_probabilistic_rounds(
         deliveries = sim.run_schedule_table(
             num_rounds, tx_round_ids[lo:hi] - chunk_start, tx_uids[lo:hi]
         )
-        bounds = np.searchsorted(deliveries.round_ids, np.arange(num_rounds + 1)).tolist()
-        receivers = deliveries.receiver_uids.tolist()
-        senders = deliveries.sender_uids.tolist()
-        for offset in range(num_rounds):
-            for i in range(bounds[offset], bounds[offset + 1]):
-                sender, receiver = senders[i], receivers[i]
-                got = result.delivered[sender]
-                if receiver not in got:
-                    got.add(receiver)
-                    if receiver in required[sender]:
-                        missing -= 1
-            if stop_when_complete and missing == 0:
-                result.completed_round = chunk_start + offset + 1
-                break
+        rounds, senders, receivers = deliveries.round_ids, deliveries.sender_uids, deliveries.receiver_uids
+        if stop_when_complete:
+            edge = required.locate(senders, receivers)
+            fresh = np.flatnonzero(edge >= 0)
+            fresh = fresh[~served[edge[fresh]]]
+            # Rows are round-major, so an edge's first row is its first round.
+            edges, first = np.unique(edge[fresh], return_index=True)
+            newly_served = np.bincount(rounds[fresh[first]], minlength=num_rounds)
+            # Edges still unserved after each round of the block: complete at 0.
+            remaining = np.count_nonzero(~served) - np.cumsum(newly_served)
+            served[edges] = True
+            done = np.flatnonzero(remaining == 0)
+            if len(done):
+                result.completed_round = chunk_start + int(done[0]) + 1
+                keep = np.searchsorted(rounds, done[0], side="right")
+                senders, receivers = senders[:keep], receivers[:keep]
+        result.delivered.add(senders, receivers)
         if result.completed_round is not None:
             break
 
-    if result.completed_round is not None:
-        result.rounds_used = result.completed_round
-    else:
-        result.rounds_used = sim.current_round - start_round
+    result.rounds_used = result.completed_round or sim.current_round - start_round
     return result
 
 

@@ -19,19 +19,15 @@ from typing import Dict, Optional, Set
 
 from ..simulation.engine import SINRSimulator
 from ..simulation.messages import Message
-from ..simulation.schedule import run_round_robin
+from ..simulation.schedule import DeliveryLedger, run_round_robin
 
 
 @dataclass
 class TDMALocalBroadcastResult:
     """Outcome of the round-robin local broadcast."""
 
-    delivered: Dict[int, Set[int]] = field(default_factory=dict)
+    delivered: DeliveryLedger = field(default_factory=DeliveryLedger)
     rounds_used: int = 0
-
-    def completed(self, network) -> bool:
-        """Whether every node reached all of its neighbours (always true here)."""
-        return network.served_fraction(self.delivered) == 1.0
 
 
 @dataclass
@@ -58,11 +54,8 @@ def tdma_local_broadcast(
     """
     network = sim.network
     start_round = sim.current_round
-    result = TDMALocalBroadcastResult(delivered={uid: set() for uid in network.uids})
     outcome = run_round_robin(sim, network.uids, phase="tdma-local")
-    senders, receivers = outcome.delivery_pairs()
-    for sender, listener in zip(senders.tolist(), receivers.tolist()):
-        result.delivered[sender].add(listener)
+    result = TDMALocalBroadcastResult(DeliveryLedger(*outcome.delivery_pairs()))
     if charge_full_id_space:
         sim.run_silent_rounds(max(0, network.id_space - network.size))
     result.rounds_used = sim.current_round - start_round

@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..simulation.engine import SINRSimulator
 from ..simulation.messages import Message
+from ..simulation.schedule import DeliveryLedger
 from .config import AlgorithmConfig
 from .labeling import imperfect_labeling
 from .primitives import run_sns
@@ -48,7 +49,7 @@ class GlobalBroadcastResult:
     sources: Set[int]
     awakened_in_phase: Dict[int, int] = field(default_factory=dict)
     cluster_of: Dict[int, int] = field(default_factory=dict)
-    delivered: Dict[int, Set[int]] = field(default_factory=dict)
+    delivered: DeliveryLedger = field(default_factory=DeliveryLedger)
     phases: List[BroadcastPhase] = field(default_factory=list)
     rounds_used: int = 0
 
@@ -63,10 +64,6 @@ class GlobalBroadcastResult:
     def phase_of(self, uid: int) -> Optional[int]:
         """The phase in which ``uid`` was awakened (0 for sources)."""
         return self.awakened_in_phase.get(uid)
-
-    def local_broadcast_completed(self, network) -> bool:
-        """Condition (b) of the SMSB problem: every awake node reached its neighbours."""
-        return network.served_fraction(self.delivered, senders=self.reached()) == 1.0
 
 
 def sms_broadcast(
@@ -100,7 +97,6 @@ def sms_broadcast(
     for uid in source_set:
         result.awakened_in_phase[uid] = 0
         result.cluster_of[uid] = uid
-    result.delivered = {uid: set() for uid in all_uids}
 
     def broadcast_message(cluster_lookup: Mapping[int, int]):
         # Snapshot the lookup: ScheduleResult materializes messages lazily,
@@ -130,9 +126,7 @@ def sms_broadcast(
         wake_on_reception=True,
     )
     current_wave: Set[int] = set()
-    senders, receivers = outcome.result.delivery_pairs()
-    for sender, listener in zip(senders.tolist(), receivers.tolist()):
-        result.delivered[sender].add(listener)
+    result.delivered.add(*outcome.result.delivery_pairs())
     first_receivers, first_senders, _ = outcome.result.first_receptions()
     for listener, first_sender in zip(first_receivers.tolist(), first_senders.tolist()):
         if listener not in result.awakened_in_phase:
@@ -185,9 +179,7 @@ def sms_broadcast(
                 phase=f"{phase}:p{phase_index}:label-{label}",
                 wake_on_reception=True,
             )
-            senders, receivers = outcome.result.delivery_pairs()
-            for sender, listener in zip(senders.tolist(), receivers.tolist()):
-                result.delivered[sender].add(listener)
+            result.delivered.add(*outcome.result.delivery_pairs())
             first_receivers, first_senders, _ = outcome.result.first_receptions()
             for listener, first_sender in zip(first_receivers.tolist(), first_senders.tolist()):
                 if listener not in result.awakened_in_phase:

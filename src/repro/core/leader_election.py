@@ -24,7 +24,7 @@ from typing import List, Optional, Set, Tuple
 from ..simulation.engine import SINRSimulator
 from .clustering import ClusteringResult, build_clustering
 from .config import AlgorithmConfig
-from .global_broadcast import sms_broadcast
+from .global_broadcast import GlobalBroadcastResult, sms_broadcast
 
 
 @dataclass
@@ -33,6 +33,7 @@ class LeaderElectionResult:
 
     leader: int
     candidates: Set[int]
+    announce: GlobalBroadcastResult
     probes: List[Tuple[int, int, bool]] = field(default_factory=list)
     clustering: Optional[ClusteringResult] = None
     rounds_used: int = 0
@@ -40,6 +41,10 @@ class LeaderElectionResult:
     def probe_count(self) -> int:
         """Number of binary-search probes (SMSBroadcast executions)."""
         return len(self.probes)
+
+    def elected(self, network) -> bool:
+        """Whether the smallest candidate won and its announcement reached every node."""
+        return self.leader == min(self.candidates) and self.announce.reached_all(network)
 
 
 def elect_leader(
@@ -82,12 +87,13 @@ def elect_leader(
 
     # The elected leader announces itself with one final broadcast so every
     # node learns the outcome, as in the paper's problem statement.
-    sms_broadcast(sim, [leader], config=config, gamma=gamma, phase="leader:announce")
+    announce = sms_broadcast(sim, [leader], config=config, gamma=gamma, phase="leader:announce")
 
     return LeaderElectionResult(
         leader=leader,
         candidates=candidates,
         probes=probes,
         clustering=clustering,
+        announce=announce,
         rounds_used=sim.current_round - start_round,
     )

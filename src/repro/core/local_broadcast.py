@@ -17,10 +17,11 @@ benchmarks can verify completion and count rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..simulation.engine import SINRSimulator
 from ..simulation.messages import Message
+from ..simulation.schedule import DeliveryLedger
 from .clustering import ClusteringResult, build_clustering
 from .config import AlgorithmConfig
 from .labeling import LabelingResult, imperfect_labeling
@@ -33,27 +34,11 @@ class LocalBroadcastResult:
 
     clustering: ClusteringResult
     labeling: LabelingResult
-    delivered: Dict[int, Set[int]] = field(default_factory=dict)
+    delivered: DeliveryLedger = field(default_factory=DeliveryLedger)
     rounds_used: int = 0
     rounds_clustering: int = 0
     rounds_labeling: int = 0
     rounds_transmission: int = 0
-
-    def receivers_of(self, uid: int) -> Set[int]:
-        """Nodes that decoded ``uid``'s broadcast message."""
-        return self.delivered.get(uid, set())
-
-    def completed_for(self, network, uid: int) -> bool:
-        """Whether every communication-graph neighbour of ``uid`` got its message."""
-        return set(network.neighbors(uid)) <= self.receivers_of(uid)
-
-    def completed(self, network) -> bool:
-        """Whether the local broadcast task is complete for every node."""
-        return network.served_fraction(self.delivered) == 1.0
-
-    def completion_ratio(self, network) -> float:
-        """Fraction of (node, neighbour) pairs served; 1.0 means task complete."""
-        return network.served_fraction(self.delivered)
 
 
 def local_broadcast(
@@ -101,7 +86,7 @@ def local_broadcast(
     rounds_labeling = sim.current_round - labeling_start
 
     transmission_start = sim.current_round
-    delivered: Dict[int, Set[int]] = {uid: set() for uid in network.uids}
+    delivered = DeliveryLedger()
     by_label: Dict[int, List[int]] = {}
     for uid in network.uids:
         by_label.setdefault(labeling.labels[uid], []).append(uid)
@@ -125,9 +110,7 @@ def local_broadcast(
                 message_factory=message_for,
                 phase=f"{phase}:label-{label}",
             )
-            senders, receivers = outcome.result.delivery_pairs()
-            for sender, listener in zip(senders.tolist(), receivers.tolist()):
-                delivered[sender].add(listener)
+            delivered.add(*outcome.result.delivery_pairs())
 
     rounds_transmission = sim.current_round - transmission_start
     return LocalBroadcastResult(

@@ -47,11 +47,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-try:  # optional dependency: JSON sweep files work without it
-    import yaml
-except ImportError:  # pragma: no cover - exercised only where PyYAML is absent
-    yaml = None
-
 from ..api.registry import ALGORITHMS, CONFIG_PRESETS, DEPLOYMENTS
 from ..api.specs import AlgorithmSpec, DeploymentSpec, RunSpec
 
@@ -372,11 +367,13 @@ def load_sweep_file(path: Union[str, os.PathLike]) -> SweepFile:
     text = path.read_text(encoding="utf-8")
     suffix = path.suffix.lower()
     if suffix in (".yaml", ".yml"):
-        if yaml is None:
+        try:  # optional dependency, imported only for YAML files
+            import yaml
+        except ImportError:  # pragma: no cover - exercised only where PyYAML is absent
             raise SweepFileError(
                 f"cannot parse {path.name}: PyYAML is not installed "
                 f"(pip install pyyaml, or use a .json sweep file)"
-            )
+            ) from None
         try:
             document = yaml.safe_load(text)
         except yaml.YAMLError as exc:

@@ -3,6 +3,7 @@
 from .engine import ScheduleDeliveries, SINRSimulator
 from .messages import Message, message_bits
 from .schedule import (
+    DeliveryLedger,
     ReceptionEvent,
     ScheduleResult,
     run_cluster_schedule,
@@ -11,6 +12,7 @@ from .schedule import (
 )
 
 __all__ = [
+    "DeliveryLedger",
     "Message",
     "ReceptionEvent",
     "ScheduleDeliveries",

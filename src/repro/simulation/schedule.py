@@ -203,6 +203,85 @@ class ScheduleResult:
         return v in self._heard_set(u) and u in self._heard_set(v)
 
 
+#: A pair's key is ``sender << _SHIFT | receiver``, so sorted keys are sorted pairs.
+_SHIFT = 32
+
+
+def _pack(senders, receivers) -> np.ndarray:
+    uids = np.stack([np.asarray(senders, dtype=np.int64), np.asarray(receivers, dtype=np.int64)])
+    if uids.size and (uids.min() < 0 or uids.max() >= 1 << 31):
+        raise ValueError("delivery uids must lie in [0, 2**31)")
+    return (uids[0] << _SHIFT) | uids[1]
+
+
+def _unpack(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    return keys >> _SHIFT, keys & ((1 << _SHIFT) - 1)
+
+
+class DeliveryLedger:
+    """Which receivers decoded each sender's message, as sorted unique uid pairs.
+
+    The pairs are packed int64 keys that no other code reads.  Theorem 2's
+    task, and condition (b) of Theorem 3's SMSB, is ``served_fraction(network)
+    == 1.0``: every directed communication-graph edge is a recorded pair.
+    """
+
+    def __init__(self, senders=_EMPTY, receivers=_EMPTY) -> None:
+        self._keys = _EMPTY
+        self.add(senders, receivers)
+
+    @classmethod
+    def edges_of(cls, network, senders: Optional[Iterable[int]] = None) -> "DeliveryLedger":
+        """The directed communication-graph edges (of ``senders``, if given) as a ledger."""
+        sender, receiver = np.concatenate([network.edges(), network.edges()[:, ::-1]]).T
+        if senders is not None:
+            keep = np.isin(sender, np.fromiter(senders, dtype=np.int64))
+            sender, receiver = sender[keep], receiver[keep]
+        return cls(sender, receiver)
+
+    def add(self, senders, receivers) -> None:
+        """Record the parallel ``senders`` / ``receivers`` uid arrays (duplicates are fine)."""
+        if not len(senders):
+            return
+        keys = np.concatenate([self._keys, np.sort(_pack(senders, receivers))])
+        keys.sort(kind="stable")  # merges the two sorted runs; np.union1d hashes and sorts anew
+        self._keys = keys[np.diff(keys, prepend=-1) != 0]
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sender_uids, receiver_uids)`` of every recorded pair, sorted by sender, then receiver."""
+        return _unpack(self._keys)
+
+    def receivers_of(self, uid: int) -> Set[int]:
+        """Nodes that decoded ``uid``'s message (empty for an unknown uid)."""
+        senders, receivers = self.pairs()
+        return set(receivers[senders == uid].tolist())
+
+    def locate(self, senders, receivers) -> np.ndarray:
+        """Position of each pair among :meth:`pairs`, or -1 for a pair not recorded."""
+        found, positions = sorted_lookup(self._keys, _pack(senders, receivers))
+        return np.where(found, positions, -1)
+
+    def served_fraction(self, network, senders: Optional[Iterable[int]] = None) -> float:
+        """Fraction of directed edges ``(u, v)`` (``u`` in ``senders``, if given) recorded.
+
+        ``1.0`` means every such node reached all its communication-graph
+        neighbours, as it does when there is no such edge.
+        """
+        required = DeliveryLedger.edges_of(network, senders)._keys
+        return int(np.isin(required, self._keys).sum()) / len(required) if len(required) else 1.0
+
+    def missing(self, network) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sender_uids, receiver_uids)`` of the directed edges not recorded, sorted."""
+        required = DeliveryLedger.edges_of(network)._keys
+        return _unpack(required[~np.isin(required, self._keys)])
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DeliveryLedger) and np.array_equal(self._keys, other._keys)
+
+
 def _from_deliveries(
     deliveries: ScheduleDeliveries,
     length: int,

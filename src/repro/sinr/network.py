@@ -39,7 +39,7 @@ so a run leaves the network exactly as it found it.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -295,22 +295,6 @@ class WirelessNetwork:
         indptr, _ = self._adjacency()
         index = self.index_of(uid)
         return int(indptr[index + 1] - indptr[index])
-
-    def served_fraction(
-        self, delivered: Mapping[int, Collection[int]], senders: Optional[Iterable[int]] = None
-    ) -> float:
-        """Fraction of (node, neighbour) pairs with the neighbour in ``delivered[node]``.
-
-        The local broadcast task's measure: ``1.0`` means every node (of
-        ``senders``, if given) reached all its communication-graph
-        neighbours, as it does when there is no such pair.
-        """
-        sender, receiver = np.concatenate([self.edges(), self.edges()[:, ::-1]]).T
-        if senders is not None:
-            keep = np.isin(sender, np.fromiter(senders, dtype=np.int64))
-            sender, receiver = sender[keep], receiver[keep]
-        served = sum(r in delivered.get(s, ()) for s, r in zip(sender.tolist(), receiver.tolist()))
-        return served / len(sender) if len(sender) else 1.0
 
     def max_degree(self) -> int:
         """Largest degree in the communication graph."""

@@ -17,7 +17,6 @@ from repro.analysis import (
     density_of_subset,
     global_broadcast_bound,
     local_broadcast_bound,
-    local_broadcast_served,
     lower_bound_shape,
     max_cluster_size,
     normalized_against,
@@ -26,6 +25,7 @@ from repro.analysis import (
     render_report,
     validate_clustering,
 )
+from repro.simulation import DeliveryLedger
 from repro.sinr import deployment
 
 
@@ -75,10 +75,10 @@ class TestValidation:
 
     def test_local_broadcast_served_reports_missing_pairs(self):
         network = deployment.line(3)
-        delivered = {uid: set() for uid in network.uids}
-        ok, missing = local_broadcast_served(network, delivered)
-        assert not ok
-        assert len(missing) == 4  # two edges, both directions
+        delivered = DeliveryLedger()
+        senders, receivers = delivered.missing(network)
+        assert delivered.served_fraction(network) < 1.0
+        assert len(senders) == len(receivers) == 4  # two edges, both directions
 
 
 class TestComplexityFits:

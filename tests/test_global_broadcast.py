@@ -25,7 +25,7 @@ class TestGlobalBroadcast:
 
     def test_every_awake_node_completed_local_broadcast(self, strip_broadcast):
         network, _, _, result = strip_broadcast
-        assert result.local_broadcast_completed(network)
+        assert result.delivered.served_fraction(network, senders=result.reached()) == 1.0
 
     def test_source_is_phase_zero(self, strip_broadcast):
         _, _, source, result = strip_broadcast

@@ -15,10 +15,10 @@ from repro.analysis import validate_clustering
 from repro.core import AlgorithmConfig, build_clustering
 from repro.core.local_broadcast import local_broadcast
 from repro.core.primitives import clustered_message_factory
+from repro.selectors.ssf import round_robin_schedule
 from repro.selectors.wss import witness_rounds
 from repro.simulation import Message, SINRSimulator, message_bits
 from repro.simulation.schedule import run_schedule
-from repro.selectors.ssf import round_robin_schedule
 from repro.sinr import SINRParameters, WirelessNetwork
 from repro.sinr.backends import DenseMatrixBackend
 from repro.sinr.geometry import pairwise_distances
@@ -137,4 +137,4 @@ class TestClusteringPropertyBased:
         sim = SINRSimulator(network)
         result = local_broadcast(sim, config=AlgorithmConfig.fast())
         for uid in network.uids:
-            assert set(network.neighbors(uid)) <= result.receivers_of(uid)
+            assert set(network.neighbors(uid)) <= result.delivered.receivers_of(uid)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.validation import local_broadcast_served, validate_clustering
+from repro.analysis.validation import validate_clustering
 from repro.core import local_broadcast
 from repro.simulation import SINRSimulator
 from repro.sinr import deployment
@@ -13,13 +13,13 @@ from repro.sinr import deployment
 class TestLocalBroadcastOnUniform:
     def test_every_neighbor_pair_served(self, local_broadcast_on_uniform, small_uniform_network):
         _, result = local_broadcast_on_uniform
-        ok, missing = local_broadcast_served(small_uniform_network, result.delivered)
-        assert ok, f"unserved (sender, neighbour) pairs: {missing}"
+        senders, receivers = result.delivered.missing(small_uniform_network)
+        assert not len(senders), f"unserved (sender, neighbour) pairs: {list(zip(senders, receivers))}"
 
     def test_completed_helpers_agree(self, local_broadcast_on_uniform, small_uniform_network):
         _, result = local_broadcast_on_uniform
-        assert result.completed(small_uniform_network)
-        assert result.completion_ratio(small_uniform_network) == pytest.approx(1.0)
+        assert not len(result.delivered.missing(small_uniform_network)[0])
+        assert result.delivered.served_fraction(small_uniform_network) == pytest.approx(1.0)
 
     def test_stage_round_counters_sum_to_total(self, local_broadcast_on_uniform):
         _, result = local_broadcast_on_uniform
@@ -46,7 +46,7 @@ class TestLocalBroadcastVariants:
         sim = SINRSimulator(network)
         payloads = {uid: (uid * 100,) for uid in network.uids}
         result = local_broadcast(sim, config=fast_config, payloads=payloads)
-        assert result.completed(network)
+        assert result.delivered.served_fraction(network) == 1.0
 
     def test_extra_sweeps_add_rounds(self, fast_config):
         network = deployment.line(4)
@@ -59,11 +59,11 @@ class TestLocalBroadcastVariants:
 
     def test_receivers_of_unknown_node_is_empty(self, local_broadcast_on_uniform):
         _, result = local_broadcast_on_uniform
-        assert result.receivers_of(10**9) == set()
+        assert result.delivered.receivers_of(10**9) == set()
 
     def test_hotspot_network_served(self, fast_config):
         network = deployment.gaussian_hotspots(2, 7, spread=0.15, separation=1.5, seed=19)
         sim = SINRSimulator(network)
         result = local_broadcast(sim, config=fast_config)
-        ok, missing = local_broadcast_served(network, result.delivered)
-        assert ok, f"unserved pairs: {missing}"
+        senders, receivers = result.delivered.missing(network)
+        assert not len(senders), f"unserved pairs: {list(zip(senders, receivers))}"

@@ -107,7 +107,7 @@ class TestAlgorithmsOnMetricNetworks:
         sim = SINRSimulator(network)
         result = local_broadcast(sim, config=AlgorithmConfig.fast())
         for uid in network.uids:
-            assert set(network.neighbors(uid)) <= result.receivers_of(uid)
+            assert set(network.neighbors(uid)) <= result.delivered.receivers_of(uid)
 
 
 def twin_networks(seed: int, n: int = 40, side: float = 3.0):

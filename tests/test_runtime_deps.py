@@ -1,4 +1,4 @@
-"""The runtime needs numpy alone: no entry point imports scipy or networkx."""
+"""The runtime needs numpy alone: no entry point imports scipy, networkx or PyYAML."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GUARD = """
 import sys
 import repro.api, repro.cli, repro.distributed, repro.service
-loaded = sorted({name.split('.')[0] for name in sys.modules} & {'scipy', 'networkx'})
+loaded = sorted({name.split('.')[0] for name in sys.modules} & {'scipy', 'networkx', 'yaml'})
 print(','.join(loaded))
 """
 

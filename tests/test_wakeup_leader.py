@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.core import elect_leader, solve_wakeup
+from repro.api import ALGORITHMS, catalog
+from repro.core import GlobalBroadcastResult, elect_leader, solve_wakeup
 from repro.simulation import SINRSimulator
 from repro.sinr import deployment
 
@@ -84,6 +86,27 @@ class TestLeaderElection:
     def test_rounds_recorded(self, election):
         _, result = election
         assert result.rounds_used > 0
+
+    def test_elected_needs_the_smallest_candidate_and_a_complete_announce(self, election):
+        network, result = election
+        assert result.elected(network)
+        wrong = max(set(network.uids) - {min(result.candidates)})
+        assert not dataclasses.replace(result, leader=wrong).elected(network)
+        failed = GlobalBroadcastResult(sources={result.leader}, awakened_in_phase={result.leader: 0})
+        assert not failed.reached_all(network)
+        assert not dataclasses.replace(result, announce=failed).elected(network)
+
+    @pytest.mark.parametrize("fault", ["wrong-leader", "failed-announce"])
+    def test_catalog_check_turns_false(self, election, fast_config, monkeypatch, fault):
+        network, result = election
+        if fault == "wrong-leader":
+            doctored = dataclasses.replace(result, leader=max(set(network.uids) - {result.leader}))
+        else:
+            failed = GlobalBroadcastResult(sources={result.leader}, awakened_in_phase={result.leader: 0})
+            doctored = dataclasses.replace(result, announce=failed)
+        monkeypatch.setattr(catalog, "elect_leader", lambda sim, config: doctored)
+        outcome = ALGORITHMS.get("leader-election").fn(SINRSimulator(network), fast_config)
+        assert outcome.checks == {"leader_elected": False}
 
     def test_single_node_network_elects_itself(self, fast_config):
         network = deployment.line(1)
