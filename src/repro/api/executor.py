@@ -465,28 +465,28 @@ def run(spec: RunSpec, keep_raw: bool = True, store=None, cache: str = "reuse") 
         hit = cache_store.load_result(spec)
         if hit is not None:
             return hit
-    result = _run_uncached(spec, keep_raw=keep_raw)
+    entry = ALGORITHMS.get(spec.algorithm.name)
+    started = time.perf_counter()  # a run's elapsed time includes the deployment build
+    network = None if entry.standalone else build_deployment(spec.deployment)
+    result = _execute(spec, entry, network, started, keep_raw)
     if cache_store is not None:
         cache_store.put_result(result, overwrite=(cache == "refresh"))
     return result
 
 
-def _run_uncached(spec: RunSpec, keep_raw: bool = True) -> RunResult:
-    """The execution body of :func:`run`, with no store involvement.
+def _execute(spec: RunSpec, entry, network, started: float, keep_raw: bool) -> RunResult:
+    """The execution body of :func:`run` and :func:`run_on_network`.
 
-    Dynamic specs were already rejected by :func:`run` (before the cache
-    lookup, so they fail the same way with or without a store).
+    Runs ``entry`` on a fresh simulator over ``network`` (or standalone when
+    ``network`` is ``None``) and packages the outcome; ``elapsed`` counts
+    from ``started``.
     """
-    entry = ALGORITHMS.get(spec.algorithm.name)
     config = spec.algorithm.build_config()
     params = spec.algorithm.param_dict()
-    started = time.perf_counter()
-    if entry.standalone:
+    if network is None:
         outcome = entry.fn(config=config, **params)
     else:
-        network = build_deployment(spec.deployment)
-        sim = SINRSimulator(network)
-        outcome = entry.fn(sim, config=config, **params)
+        outcome = entry.fn(SINRSimulator(network), config=config, **params)
         outcome.metrics.setdefault("n", float(network.size))
         outcome.metrics.setdefault("delta_bound", float(network.delta_bound))
         outcome.metrics.setdefault("id_space", float(network.id_space))
@@ -548,29 +548,7 @@ def run_on_network(network, spec: RunSpec, store=None, cache: str = "reuse") -> 
         hit = cache_store.load_result(spec)
         if hit is not None:
             return hit
-    config = spec.algorithm.build_config()
-    params = spec.algorithm.param_dict()
-    sim = SINRSimulator(network)
-    started = time.perf_counter()
-    outcome = entry.fn(sim, config=config, **params)
-    elapsed = time.perf_counter() - started
-    if "total" not in outcome.rounds:
-        raise ValueError(f"algorithm {spec.algorithm.name!r} returned no 'total' rounds entry")
-    metrics = {key: float(value) for key, value in outcome.metrics.items()}
-    metrics.setdefault("n", float(network.size))
-    metrics.setdefault("delta_bound", float(network.delta_bound))
-    metrics.setdefault("id_space", float(network.id_space))
-    details = dict(outcome.details)
-    details.setdefault("network", network.describe())
-    result = RunResult(
-        spec=spec,
-        rounds=dict(outcome.rounds),
-        checks=dict(outcome.checks),
-        metrics=metrics,
-        details=_plain(details),
-        elapsed=elapsed,
-        raw=None,
-    )
+    result = _execute(spec, entry, network, time.perf_counter(), keep_raw=False)
     if cache_store is not None:
         cache_store.put_result(result, overwrite=(cache == "refresh"))
     return result

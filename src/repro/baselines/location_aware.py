@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..selectors.ssf import greedy_random_ssf
 from ..simulation.engine import SINRSimulator
-from ..simulation.messages import Message
 from ..simulation.schedule import DeliveryLedger, run_schedule
 
 
@@ -87,14 +86,7 @@ def location_aware_local_broadcast(
     start_round = sim.current_round
     for _ in range(max(1, sweeps)):
         for color in sorted(colors):
-            participants = colors[color]
-            outcome = run_schedule(
-                sim,
-                selector,
-                participants,
-                message_factory=lambda uid: Message(sender=uid, tag="grid-local"),
-                phase=f"grid:{color}",
-            )
+            outcome = run_schedule(sim, selector, colors[color])
             result.delivered.add(*outcome.delivery_pairs())
     result.colors_used = len(colors)
     result.rounds_used = sim.current_round - start_round

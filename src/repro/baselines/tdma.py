@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from ..simulation.engine import SINRSimulator
-from ..simulation.messages import Message
 from ..simulation.schedule import DeliveryLedger, run_round_robin
 
 
@@ -54,7 +53,7 @@ def tdma_local_broadcast(
     """
     network = sim.network
     start_round = sim.current_round
-    outcome = run_round_robin(sim, network.uids, phase="tdma-local")
+    outcome = run_round_robin(sim, network.uids)
     result = TDMALocalBroadcastResult(DeliveryLedger(*outcome.delivery_pairs()))
     if charge_full_id_space:
         sim.run_silent_rounds(max(0, network.id_space - network.size))
@@ -79,12 +78,7 @@ def tdma_global_broadcast(
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        outcome = run_round_robin(
-            sim,
-            sorted(informed),
-            message_factory=lambda uid: Message(sender=uid, tag="tdma-flood"),
-            phase="tdma-global",
-        )
+        outcome = run_round_robin(sim, sorted(informed))
         if charge_full_id_space:
             sim.run_silent_rounds(max(0, network.id_space - len(informed)))
         _, receivers = outcome.delivery_pairs()

@@ -69,7 +69,6 @@ def build_clustering(
     participants: Optional[Iterable[int]] = None,
     gamma: Optional[int] = None,
     config: Optional[AlgorithmConfig] = None,
-    phase: str = "clustering",
 ) -> ClusteringResult:
     """Algorithm 6: build a 1-clustering of ``participants``.
 
@@ -112,9 +111,7 @@ def build_clustering(
             break
         block_budget = max(1, int(round(budget)))
         before_round = sim.current_round
-        sets, block_levels = sparsify_unclustered(
-            sim, current, block_budget, config, phase=f"{phase}:down"
-        )
+        sets, block_levels = sparsify_unclustered(sim, current, block_budget, config)
         blocks.append((block_budget, block_levels))
         for lvl in block_levels:
             level_counter += 1
@@ -168,7 +165,6 @@ def build_clustering(
                     max(2, block_budget),
                     config,
                     r=2.0,
-                    phase=f"{phase}:radius",
                 )
                 cluster_of.update(reduction.cluster_of)
                 radius_reductions += 1
@@ -188,7 +184,6 @@ def build_clustering(
             gamma,
             config,
             r=2.0,
-            phase=f"{phase}:final-radius",
         )
         cluster_of.update(reduction.cluster_of)
         radius_reductions += 1

@@ -18,10 +18,9 @@ phases the whole network is awake.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..simulation.engine import SINRSimulator
-from ..simulation.messages import Message
 from ..simulation.schedule import DeliveryLedger
 from .config import AlgorithmConfig
 from .labeling import imperfect_labeling
@@ -72,8 +71,6 @@ def sms_broadcast(
     config: Optional[AlgorithmConfig] = None,
     gamma: Optional[int] = None,
     max_phases: Optional[int] = None,
-    payload: Tuple[int, ...] = (),
-    phase: str = "smsb",
 ) -> GlobalBroadcastResult:
     """Algorithm 8: sparse multiple-source broadcast from ``sources``.
 
@@ -98,40 +95,16 @@ def sms_broadcast(
         result.awakened_in_phase[uid] = 0
         result.cluster_of[uid] = uid
 
-    def broadcast_message(cluster_lookup: Mapping[int, int]):
-        # Snapshot the lookup: ScheduleResult materializes messages lazily,
-        # so a factory must capture send-time state, not the live dict that
-        # the wave loop keeps mutating.
-        snapshot = dict(cluster_lookup)
-
-        def factory(uid: int) -> Message:
-            return Message(
-                sender=uid,
-                tag="broadcast",
-                cluster=snapshot.get(uid, uid),
-                payload=payload,
-            )
-
-        return factory
-
     # ------------------------- Phase 1 seed (line 1) ------------------------- #
     phase_start = sim.current_round
-    outcome = run_sns(
-        sim,
-        sorted(source_set),
-        config,
-        message_factory=broadcast_message(result.cluster_of),
-        listeners=all_uids,
-        phase=f"{phase}:seed",
-        wake_on_reception=True,
-    )
+    outcome = run_sns(sim, sorted(source_set), config, listeners=all_uids, wake_on_reception=True)
     current_wave: Set[int] = set()
     result.delivered.add(*outcome.result.delivery_pairs())
     first_receivers, first_senders, _ = outcome.result.first_receptions()
     for listener, first_sender in zip(first_receivers.tolist(), first_senders.tolist()):
         if listener not in result.awakened_in_phase:
             result.awakened_in_phase[listener] = 1
-            # The seed messages carry cluster_lookup.get(sender, sender).
+            # A woken node joins the cluster of the node it first heard.
             result.cluster_of[listener] = result.cluster_of.get(first_sender, first_sender) or first_sender
             current_wave.add(listener)
     sim.wake(current_wave)
@@ -159,9 +132,7 @@ def sms_broadcast(
         clusters_before = len({result.cluster_of[u] for u in wave})
 
         # Stage 1: imperfect labeling of the wave.
-        labeling = imperfect_labeling(
-            sim, wave, result.cluster_of, gamma, config, phase=f"{phase}:p{phase_index}:labeling"
-        )
+        labeling = imperfect_labeling(sim, wave, result.cluster_of, gamma, config)
 
         # Stage 2: local broadcast from the wave, one SNS execution per label.
         by_label: Dict[int, List[int]] = {}
@@ -169,22 +140,14 @@ def sms_broadcast(
             by_label.setdefault(labeling.labels[uid], []).append(uid)
         newly_awakened: Set[int] = set()
         for label in range(1, gamma + 1):
-            participants = by_label.get(label, [])
             outcome = run_sns(
-                sim,
-                participants,
-                config,
-                message_factory=broadcast_message(result.cluster_of),
-                listeners=all_uids,
-                phase=f"{phase}:p{phase_index}:label-{label}",
-                wake_on_reception=True,
+                sim, by_label.get(label, []), config, listeners=all_uids, wake_on_reception=True
             )
             result.delivered.add(*outcome.result.delivery_pairs())
             first_receivers, first_senders, _ = outcome.result.first_receptions()
             for listener, first_sender in zip(first_receivers.tolist(), first_senders.tolist()):
                 if listener not in result.awakened_in_phase:
                     result.awakened_in_phase[listener] = phase_index + 1
-                    # Wave messages carry cluster_lookup.get(sender, sender).
                     result.cluster_of[listener] = (
                         result.cluster_of.get(first_sender, first_sender) or first_sender
                     )
@@ -202,7 +165,6 @@ def sms_broadcast(
                 gamma,
                 config,
                 r=2.0,
-                phase=f"{phase}:p{phase_index}:radius",
             )
             for uid in newly_awakened:
                 result.cluster_of[uid] = reduction.cluster_of[uid]
@@ -231,15 +193,6 @@ def global_broadcast(
     config: Optional[AlgorithmConfig] = None,
     gamma: Optional[int] = None,
     max_phases: Optional[int] = None,
-    payload: Tuple[int, ...] = (),
 ) -> GlobalBroadcastResult:
     """Global broadcast from a single source (Theorem 3, ``|S| = 1``)."""
-    return sms_broadcast(
-        sim,
-        [source],
-        config=config,
-        gamma=gamma,
-        max_phases=max_phases,
-        payload=payload,
-        phase="global-broadcast",
-    )
+    return sms_broadcast(sim, [source], config=config, gamma=gamma, max_phases=max_phases)

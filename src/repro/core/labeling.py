@@ -88,7 +88,6 @@ def imperfect_labeling(
     cluster_of: Mapping[int, int],
     gamma: int,
     config: AlgorithmConfig,
-    phase: str = "labeling",
 ) -> LabelingResult:
     """Lemma 11: build a ``c``-imperfect labeling of a clustered set."""
     participants = set(participants)
@@ -99,7 +98,6 @@ def imperfect_labeling(
         gamma,
         config,
         cluster_of={uid: cluster_of[uid] for uid in participants},
-        phase=f"{phase}:fullsparse",
     )
     sizes = _subtree_sizes(forest, participants)
     labels = _assign_labels(forest, sizes)

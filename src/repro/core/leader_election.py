@@ -60,7 +60,7 @@ def elect_leader(
     gamma = max(1, int(gamma))
     start_round = sim.current_round
 
-    clustering = build_clustering(sim, network.uids, gamma, config, phase="leader:clustering")
+    clustering = build_clustering(sim, network.uids, gamma, config)
     candidates = set(clustering.sparse_roots) or set(network.uids)
 
     lo, hi = 1, network.id_space
@@ -69,9 +69,7 @@ def elect_leader(
     while lo < hi:
         mid = (lo + hi) // 2
         probe_sources = sorted(uid for uid in candidates if lo <= uid <= mid)
-        broadcast = sms_broadcast(
-            sim, probe_sources, config=config, gamma=gamma, phase=f"leader:probe-{lo}-{mid}"
-        )
+        broadcast = sms_broadcast(sim, probe_sources, config=config, gamma=gamma)
         non_empty = bool(probe_sources) and broadcast.reached_all(network)
         probes.append((lo, mid, non_empty))
         if non_empty:
@@ -87,7 +85,7 @@ def elect_leader(
 
     # The elected leader announces itself with one final broadcast so every
     # node learns the outcome, as in the paper's problem statement.
-    announce = sms_broadcast(sim, [leader], config=config, gamma=gamma, phase="leader:announce")
+    announce = sms_broadcast(sim, [leader], config=config, gamma=gamma)
 
     return LeaderElectionResult(
         leader=leader,

@@ -17,10 +17,9 @@ benchmarks can verify completion and count rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..simulation.engine import SINRSimulator
-from ..simulation.messages import Message
 from ..simulation.schedule import DeliveryLedger
 from .clustering import ClusteringResult, build_clustering
 from .config import AlgorithmConfig
@@ -44,10 +43,8 @@ class LocalBroadcastResult:
 def local_broadcast(
     sim: SINRSimulator,
     config: Optional[AlgorithmConfig] = None,
-    payloads: Optional[Mapping[int, Tuple[int, ...]]] = None,
     gamma: Optional[int] = None,
     extra_sweeps: int = 0,
-    phase: str = "local-broadcast",
 ) -> LocalBroadcastResult:
     """Algorithm 7: every node delivers its message to all of its neighbours.
 
@@ -57,9 +54,6 @@ def local_broadcast(
         The simulator (all nodes awake, per the local broadcast model).
     config:
         Algorithm constants.
-    payloads:
-        Optional integer payload per sender, carried inside the broadcast
-        messages.
     gamma:
         Density bound ``Delta``; defaults to the network's ``delta_bound``.
     extra_sweeps:
@@ -73,16 +67,13 @@ def local_broadcast(
     if gamma is None:
         gamma = network.delta_bound
     gamma = max(1, int(gamma))
-    payloads = dict(payloads or {})
     start_round = sim.current_round
 
-    clustering = build_clustering(sim, network.uids, gamma, config, phase=f"{phase}:clustering")
+    clustering = build_clustering(sim, network.uids, gamma, config)
     rounds_clustering = sim.current_round - start_round
 
     labeling_start = sim.current_round
-    labeling = imperfect_labeling(
-        sim, network.uids, clustering.cluster_of, gamma, config, phase=f"{phase}:labeling"
-    )
+    labeling = imperfect_labeling(sim, network.uids, clustering.cluster_of, gamma, config)
     rounds_labeling = sim.current_round - labeling_start
 
     transmission_start = sim.current_round
@@ -91,25 +82,10 @@ def local_broadcast(
     for uid in network.uids:
         by_label.setdefault(labeling.labels[uid], []).append(uid)
 
-    def message_for(uid: int) -> Message:
-        return Message(
-            sender=uid,
-            tag="local-broadcast",
-            cluster=clustering.cluster_of.get(uid),
-            payload=tuple(payloads.get(uid, ())),
-        )
-
     sweeps = 1 + max(0, extra_sweeps)
     for _ in range(sweeps):
         for label in range(1, gamma + 1):
-            participants = by_label.get(label, [])
-            outcome = run_sns(
-                sim,
-                participants,
-                config,
-                message_factory=message_for,
-                phase=f"{phase}:label-{label}",
-            )
+            outcome = run_sns(sim, by_label.get(label, []), config)
             delivered.add(*outcome.result.delivery_pairs())
 
     rounds_transmission = sim.current_round - transmission_start

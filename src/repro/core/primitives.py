@@ -24,14 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, Optional
 
 from ..selectors.ssf import TransmissionSchedule, greedy_random_ssf
 from ..selectors.wcss import ClusterAwareSchedule, random_wcss
 from ..selectors.wss import random_wss
 from ..simulation.engine import SINRSimulator
-from ..simulation.messages import Message
-from ..simulation.schedule import MessageFactory, ScheduleResult, run_schedule
+from ..simulation.schedule import ScheduleResult, run_schedule
 from .config import AlgorithmConfig
 
 
@@ -114,18 +113,12 @@ class SNSOutcome:
     result: ScheduleResult
     rounds: int
 
-    def received_from(self, listener: int) -> List[int]:
-        """Senders whose message ``listener`` decoded during the execution."""
-        return self.result.senders_heard_by(listener)
-
 
 def run_sns(
     sim: SINRSimulator,
     participants: Iterable[int],
     config: AlgorithmConfig,
-    message_factory: Optional[MessageFactory] = None,
     listeners: Optional[Iterable[int]] = None,
-    phase: str = "sns",
     wake_on_reception: bool = False,
 ) -> SNSOutcome:
     """Execute the Sparse Network Schedule for the given participants.
@@ -144,30 +137,8 @@ def run_sns(
         sim,
         schedule,
         participants=participants,
-        message_factory=message_factory,
         listeners=listeners,
-        phase=phase,
         wake_on_reception=wake_on_reception,
     )
     return SNSOutcome(result=result, rounds=sim.current_round - before)
 
-
-def broadcast_message_factory(tag: str, payloads: Mapping[int, Tuple[int, ...]]) -> MessageFactory:
-    """Message factory attaching a per-sender integer payload tuple."""
-
-    def factory(uid: int) -> Message:
-        return Message(sender=uid, tag=tag, payload=tuple(payloads.get(uid, ())))
-
-    return factory
-
-
-def clustered_message_factory(
-    tag: str, cluster_of: Mapping[int, int], payloads: Optional[Mapping[int, Tuple[int, ...]]] = None
-) -> MessageFactory:
-    """Message factory attaching the sender's cluster (and optional payload)."""
-
-    def factory(uid: int) -> Message:
-        payload = tuple(payloads.get(uid, ())) if payloads else ()
-        return Message(sender=uid, tag=tag, cluster=cluster_of.get(uid), payload=payload)
-
-    return factory

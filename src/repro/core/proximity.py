@@ -23,8 +23,8 @@ Because the physics is deterministic and the confirmation phase re-executes
 the *same* schedule with the same transmitter sets, its receptions are
 identical to the exchange phase; we therefore charge its rounds without
 re-evaluating them (docs/paper.md, Reproduction notes).  The same replay
-argument powers :func:`neighbor_exchange`, which lets ``H``-neighbours
-exchange fresh payloads at the cost of one schedule length, and the
+argument powers :func:`neighbor_exchange`, which charges one more exchange
+between ``H``-neighbours at the cost of one schedule length, and the
 distributed MIS driver :func:`distributed_mis`.
 """
 
@@ -40,7 +40,7 @@ from ..selectors.mis import iterated_local_minima_mis
 from ..simulation.engine import SINRSimulator
 from ..simulation.schedule import ScheduleResult, run_cluster_schedule, run_schedule
 from .config import AlgorithmConfig
-from .primitives import clustered_message_factory, wcss_for, wss_for
+from .primitives import wcss_for, wss_for
 
 
 @dataclass
@@ -168,7 +168,6 @@ def build_proximity_graph(
     participants: Iterable[int],
     config: AlgorithmConfig,
     cluster_of: Optional[Mapping[int, int]] = None,
-    phase: str = "proximity",
 ) -> ProximityGraph:
     """Run Algorithm 1 on the given participants.
 
@@ -194,15 +193,11 @@ def build_proximity_graph(
 
     cluster_arr = np.full(id_space + 1, -1, dtype=np.int64)
     if cluster_of is None:
-        cluster_lookup: Dict[int, int] = {uid: 1 for uid in participants}
         for uid in participants:
             cluster_arr[uid] = 1
         schedule = wss_for(id_space, config)
         schedule_length = len(schedule)
-        factory = clustered_message_factory("exchange", cluster_lookup)
-        exchange = run_schedule(
-            sim, schedule, participants, message_factory=factory, phase=f"{phase}:exchange"
-        )
+        exchange = run_schedule(sim, schedule, participants)
         inv_indptr, inv_rounds = schedule.inverse_table()
 
         def scheduled_rounds_of(ws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -218,15 +213,7 @@ def build_proximity_graph(
                 cluster_arr[uid] = cluster
         schedule = wcss_for(id_space, config)
         schedule_length = len(schedule)
-        factory = clustered_message_factory("exchange", cluster_lookup)
-        exchange = run_cluster_schedule(
-            sim,
-            schedule,
-            participants,
-            cluster_of=cluster_lookup,
-            message_factory=factory,
-            phase=f"{phase}:exchange",
-        )
+        exchange = run_cluster_schedule(sim, schedule, participants, cluster_of=cluster_lookup)
 
         def scheduled_rounds_of(ws: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             parts = [
@@ -283,24 +270,14 @@ def build_proximity_graph(
     return graph
 
 
-def neighbor_exchange(
-    sim: SINRSimulator,
-    graph: ProximityGraph,
-    payloads: Mapping[int, Tuple[int, ...]],
-) -> Dict[int, Dict[int, Tuple[int, ...]]]:
-    """Deliver a fresh payload across every edge of ``H`` (both directions).
+def neighbor_exchange(sim: SINRSimulator, graph: ProximityGraph) -> None:
+    """Charge one exchange across every edge of ``H`` (both directions).
 
     Realized by replaying the selector schedule with identical transmitter
-    sets (identical receptions, new content); costs one schedule length of
-    rounds.  Returns ``received[v][u] = payload of u`` for every edge
-    ``{u, v}`` of ``H``.
+    sets, hence identical receptions: both endpoints of every edge hear
+    each other again.  Costs one schedule length of rounds.
     """
     sim.run_silent_rounds(graph.schedule_length)
-    received: Dict[int, Dict[int, Tuple[int, ...]]] = {uid: {} for uid in graph.participants}
-    for v in graph.participants:
-        for u in graph.neighbors(v):
-            received[v][u] = tuple(payloads.get(u, ()))
-    return received
 
 
 def distributed_mis(

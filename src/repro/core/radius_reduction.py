@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Mapping, Set
 
 from ..selectors.mis import iterated_local_minima_mis
 from ..simulation.engine import SINRSimulator
-from ..simulation.messages import Message
+from ..simulation.schedule import DeliveryLedger, ScheduleResult
 from .config import AlgorithmConfig
 from .primitives import run_sns
 from .sparsification import full_sparsification
@@ -40,6 +40,17 @@ class RadiusReductionResult:
     unassigned: Set[int] = field(default_factory=set)
 
 
+def _mutual_graph(result: ScheduleResult, nodes: Iterable[int]) -> Dict[int, Set[int]]:
+    """Adjacency (keyed in ``nodes`` order) of the pairs that decoded each other in ``result``."""
+    heard = DeliveryLedger(*result.delivery_pairs())
+    senders, receivers = heard.pairs()
+    mutual = heard.locate(receivers, senders) >= 0
+    adjacency: Dict[int, Set[int]] = {uid: set() for uid in nodes}
+    for u, v in zip(senders[mutual].tolist(), receivers[mutual].tolist()):
+        adjacency[u].add(v)
+    return adjacency
+
+
 def reduce_radius(
     sim: SINRSimulator,
     participants: Iterable[int],
@@ -47,7 +58,6 @@ def reduce_radius(
     gamma: int,
     config: AlgorithmConfig,
     r: float = 2.0,
-    phase: str = "radius",
 ) -> RadiusReductionResult:
     """Algorithm 5: transform an ``r``-clustering of ``participants`` into a 1-clustering."""
     remaining: Set[int] = set(participants)
@@ -69,48 +79,26 @@ def reduce_radius(
             gamma,
             config,
             cluster_of={uid: cluster_of[uid] for uid in remaining if uid in cluster_of},
-            phase=f"{phase}:fullsparse",
         )
         survivors = forest.roots & remaining if forest.roots else set(remaining)
         if not survivors:
             survivors = set(remaining)
 
-        # Survivors run SNS; pairs that exchange messages form the graph G.
-        outcome = run_sns(
-            sim, survivors, config, listeners=sorted(survivors), phase=f"{phase}:sns-survivors"
-        )
-        adjacency: Dict[int, Set[int]] = {uid: set() for uid in survivors}
-        for v in survivors:
-            for u in outcome.received_from(v):
-                if u in survivors and outcome.result.exchanged(u, v):
-                    adjacency[v].add(u)
-                    adjacency[u].add(v)
-        mis, mis_iterations = iterated_local_minima_mis(adjacency)
+        # Survivors run SNS; pairs that heard each other form the graph G.
+        outcome = run_sns(sim, survivors, config, listeners=sorted(survivors))
+        mis, mis_iterations = iterated_local_minima_mis(_mutual_graph(outcome.result, survivors))
         if mis_iterations:
             # Status exchanges between G-neighbours: replay the SNS per iteration.
             sim.run_silent_rounds(mis_iterations * outcome.rounds)
         if not mis:
             mis = {min(survivors)}
 
-        # New centres broadcast; listeners are all still-unassigned nodes.
-        def center_message(uid: int) -> Message:
-            return Message(sender=uid, tag="new-cluster", cluster=uid)
-
-        assignment_outcome = run_sns(
-            sim,
-            sorted(mis),
-            config,
-            message_factory=center_message,
-            listeners=sorted(remaining - mis),
-            phase=f"{phase}:sns-centers",
-        )
-        newly_assigned: Set[int] = set()
-        for v in sorted(remaining - mis):
-            heard = assignment_outcome.received_from(v)
-            chosen = next((u for u in heard if u in mis), None)
-            if chosen is not None:
-                new_cluster[v] = chosen
-                newly_assigned.add(v)
+        # New centres broadcast; every still-unassigned node that hears one
+        # joins the cluster of the first centre it heard.
+        assignment_outcome = run_sns(sim, sorted(mis), config, listeners=sorted(remaining - mis))
+        listeners, first_senders, _ = assignment_outcome.result.first_receptions()
+        newly_assigned = set(listeners.tolist())
+        new_cluster.update(zip(listeners.tolist(), first_senders.tolist()))
         for center in mis:
             new_cluster[center] = center
         centers |= mis

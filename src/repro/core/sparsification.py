@@ -116,7 +116,6 @@ def sparsify(
     gamma: int,
     config: AlgorithmConfig,
     cluster_of: Optional[Mapping[int, int]] = None,
-    phase: str = "sparsify",
 ) -> SparsificationLevel:
     """Algorithm 2: one sparsification pass over ``participants``.
 
@@ -145,7 +144,6 @@ def sparsify(
             active,
             config,
             cluster_of={uid: cluster_of[uid] for uid in active} if cluster_of else None,
-            phase=f"{phase}:pgc",
         )
         replay_length += graph.schedule_length
         if cluster_of is None:
@@ -156,7 +154,7 @@ def sparsify(
         new_children = _assign_parents(active, independent, graph, parent, children)
         if new_children:
             # Children announce their chosen parent (one replayed exchange).
-            neighbor_exchange(sim, graph, {uid: (parent[uid],) for uid in new_children})
+            neighbor_exchange(sim, graph)
             replay_length += graph.schedule_length
         new_parents = {v for v in active if children.get(v)}
         parents_so_far |= new_parents
@@ -182,7 +180,6 @@ def sparsify_unclustered(
     participants: Iterable[int],
     gamma: int,
     config: AlgorithmConfig,
-    phase: str = "sparsifyU",
 ) -> Tuple[List[Set[int]], List[SparsificationLevel]]:
     """Algorithm 3: repeated unclustered sparsification.
 
@@ -197,7 +194,7 @@ def sparsify_unclustered(
     for _ in range(repetitions):
         if len(current) <= 1:
             break
-        level = sparsify(sim, current, gamma, config, cluster_of=None, phase=phase)
+        level = sparsify(sim, current, gamma, config, cluster_of=None)
         levels.append(level)
         sets.append(set(level.surviving))
         if config.adaptive_termination and not level.removed:
@@ -212,7 +209,6 @@ def full_sparsification(
     gamma: int,
     config: AlgorithmConfig,
     cluster_of: Optional[Mapping[int, int]] = None,
-    phase: str = "fullsparse",
 ) -> SparsificationForest:
     """Algorithm 4: iterate Algorithm 2 until each cluster retains O(1) nodes.
 
@@ -236,7 +232,6 @@ def full_sparsification(
             max(1, int(round(budget))),
             config,
             cluster_of=cluster_of,
-            phase=f"{phase}:L{level_index}",
         )
         forest.levels.append(level)
         forest.sets.append(set(level.surviving))

@@ -88,13 +88,9 @@ def solve_wakeup(
     start_round = sim.current_round
     sim.run_silent_rounds(max(0, execution_start - earliest))
 
-    clustering = build_clustering(
-        sim, sorted(initially_awake), gamma, config, phase="wakeup:clustering"
-    )
+    clustering = build_clustering(sim, sorted(initially_awake), gamma, config)
     sources = clustering.sparse_roots or set(initially_awake)
-    broadcast = sms_broadcast(
-        sim, sorted(sources), config=config, gamma=gamma, phase="wakeup:broadcast"
-    )
+    broadcast = sms_broadcast(sim, sorted(sources), config=config, gamma=gamma)
 
     activation: Dict[int, int] = {}
     offset = execution_start

@@ -28,7 +28,6 @@ from typing import Callable, List, Optional, Sequence
 
 from ..selectors.ssf import TransmissionSchedule
 from ..simulation.engine import SINRSimulator
-from ..simulation.messages import Message
 from .gadget import build_gadget, lower_bound_parameters
 
 
@@ -223,16 +222,12 @@ def measure_gadget_delivery(
     core_uids = [uids[i] for i in layout.core_indices]
 
     # Round 0: the source transmits alone and wakes the whole core.
-    sim.run_round({source_uid: Message(sender=source_uid, tag="wake")}, listeners=network.uids)
+    sim.run_round([source_uid], listeners=network.uids)
 
     delivery_round: Optional[int] = None
     for local_round in range(1, max_rounds + 1):
-        transmissions = {
-            uid: Message(sender=uid, tag="lb")
-            for uid in core_uids
-            if algorithm.transmits(uid, local_round)
-        }
-        delivered = sim.run_round(transmissions, listeners=[target_uid])
+        transmitters = [uid for uid in core_uids if algorithm.transmits(uid, local_round)]
+        delivered = sim.run_round(transmitters, listeners=[target_uid])
         if target_uid in delivered:
             delivery_round = local_round
             break

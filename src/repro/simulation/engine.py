@@ -3,9 +3,10 @@
 :class:`SINRSimulator` wraps a :class:`~repro.sinr.network.WirelessNetwork`
 and exposes the single primitive the paper's model provides: in each round,
 a set of nodes transmits a message each, every other (awake) node listens,
-and the SINR inequality (Equation 1) decides who decodes what.  Because the
+and the SINR inequality (Equation 1) decides who decodes whom.  Because the
 threshold ``beta`` exceeds one, a listener decodes at most one transmitter
-per round, so the result of a round is a partial map ``listener -> message``.
+per round, so the result of a round is a partial map ``listener -> sender``.
+Only receptions are simulated, never message content.
 
 The simulator is *index-native*: wakefulness is a NumPy boolean mask over
 dense node indices, transmitter/listener sets are converted to index arrays
@@ -36,12 +37,11 @@ the difference of these counters across the stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..sinr.network import WirelessNetwork
-from .messages import Message
 
 
 @dataclass(frozen=True)
@@ -116,20 +116,19 @@ class SINRSimulator:
 
     def run_round(
         self,
-        transmissions: Mapping[int, Message],
+        transmitters: Iterable[int],
         listeners: Optional[Iterable[int]] = None,
         wake_on_reception: bool = False,
-    ) -> Dict[int, Message]:
+    ) -> Dict[int, int]:
         """Execute one synchronous round.
 
         A one-round :meth:`run_schedule_table` call: listener selection,
-        physics, wake-up and counters are all that path's; this method only
-        attaches each sender's message.
+        physics, wake-up and counters are all that path's.
 
         Parameters
         ----------
-        transmissions:
-            Map from transmitting node ID to the message it sends.
+        transmitters:
+            IDs of the nodes that transmit this round.
         listeners:
             IDs of the nodes that listen this round; defaults to every node
             that is awake and not transmitting.  Transmitting nodes never
@@ -144,14 +143,14 @@ class SINRSimulator:
         Returns
         -------
         dict
-            ``listener ID -> decoded message`` for every listener whose SINR
+            ``listener ID -> sender ID`` for every listener whose SINR
             constraint was met by some transmitter.
         """
-        if not transmissions:
+        tx_uids = np.asarray(list(transmitters))
+        if not len(tx_uids):
             self._round += 1
             return {}
 
-        tx_uids = np.asarray(list(transmissions))
         deliveries = self.run_schedule_table(
             1,
             np.zeros(len(tx_uids), dtype=np.int64),
@@ -159,12 +158,7 @@ class SINRSimulator:
             listeners=listeners,
             wake_on_reception=wake_on_reception,
         )
-        return {
-            receiver: transmissions[sender]
-            for receiver, sender in zip(
-                deliveries.receiver_uids.tolist(), deliveries.sender_uids.tolist()
-            )
-        }
+        return dict(zip(deliveries.receiver_uids.tolist(), deliveries.sender_uids.tolist()))
 
     def run_schedule_table(
         self,

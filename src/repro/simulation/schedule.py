@@ -6,17 +6,16 @@ transmit; a node actually transmits iff it is participating in the current
 sub-protocol and the schedule names it (and, for cluster-aware schedules, its
 current cluster).  This module turns a schedule plus a participant set into
 actual rounds on the :class:`~repro.simulation.engine.SINRSimulator` and
-returns the per-listener reception history that the algorithms consume.
+returns the reception table that the algorithms consume.
 
 The pipeline is columnar end to end.  The runners intersect the schedule's
 CSR member table with a participant lookup mask (one vectorized pass -- no
 per-round Python sets), hand the resulting transmitter table straight to
 :meth:`~repro.simulation.engine.SINRSimulator.run_schedule_table`, and wrap
-the columnar delivery table in a :class:`ScheduleResult`.  The result keeps
-receptions as parallel ``round / sender / receiver`` integer arrays; the
-per-listener :class:`ReceptionEvent` lists (and the ``Message`` objects
-inside them) are materialized lazily, only for listeners that are actually
-inspected.  ``tests/test_columnar_equivalence.py`` checks every runner
+the columnar delivery table in a :class:`ScheduleResult`: parallel ``round /
+sender / receiver`` integer arrays, one row per reception.  No message
+content is simulated; algorithms read what a message would carry from their
+own state.  ``tests/test_columnar_equivalence.py`` checks every runner
 against transmitter sets built from the schedules' frozenset views and
 against a brute-force evaluation of Equation 1.
 
@@ -27,8 +26,7 @@ the round counter, so reported round complexities match a faithful execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,26 +34,6 @@ from ..selectors._csr import sorted_lookup
 from ..selectors.ssf import TransmissionSchedule
 from ..selectors.wcss import ClusterAwareSchedule
 from .engine import ScheduleDeliveries, SINRSimulator
-from .messages import Message
-
-
-@dataclass(frozen=True)
-class ReceptionEvent:
-    """One successful reception during a schedule execution."""
-
-    round_index: int
-    sender: int
-    message: Message
-
-
-MessageFactory = Callable[[int], Message]
-
-
-def _default_message(tag: str) -> MessageFactory:
-    def factory(uid: int) -> Message:
-        return Message(sender=uid, tag=tag)
-
-    return factory
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -64,20 +42,9 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class ScheduleResult:
     """Outcome of executing a schedule once (columnar reception table).
 
-    The authoritative record is three parallel arrays -- ``round / sender /
-    receiver`` per successful reception, round-major -- plus the analogous
-    transmission table.  All accessors answer from O(1)-amortized index
-    lookups over those arrays; :class:`ReceptionEvent` objects and their
-    :class:`~repro.simulation.messages.Message` payloads are created lazily,
-    one sender message each, only when a consumer asks for them.
-    Because materialization is lazy, the message factory runs at first
-    *access*, not at execution time: a factory closing over mutable state
-    must snapshot it (see ``broadcast_message`` in
-    :mod:`repro.core.global_broadcast`).
-
-    :meth:`heard_by` lists, in round order, every message a node decoded
-    together with the schedule-relative round at which it arrived;
-    :meth:`transmitter_table` lists every actual transmission.
+    The record is three parallel arrays -- ``round / sender / receiver`` per
+    successful reception, round-major -- plus the analogous transmission
+    table, with ``length`` the number of rounds the schedule was charged.
     """
 
     def __init__(
@@ -88,7 +55,6 @@ class ScheduleResult:
         receiver_uids: Optional[np.ndarray] = None,
         tx_round_ids: Optional[np.ndarray] = None,
         tx_uids: Optional[np.ndarray] = None,
-        message_factory: Optional[MessageFactory] = None,
     ) -> None:
         self.length = int(length)
         self._round_ids = round_ids if round_ids is not None else _EMPTY
@@ -96,17 +62,6 @@ class ScheduleResult:
         self._receiver_uids = receiver_uids if receiver_uids is not None else _EMPTY
         self._tx_round_ids = tx_round_ids if tx_round_ids is not None else _EMPTY
         self._tx_uids = tx_uids if tx_uids is not None else _EMPTY
-        self._factory = message_factory or _default_message("schedule")
-        # Lazy caches.
-        self._messages: Dict[int, Message] = {}
-        self._by_listener: Optional[Dict[int, np.ndarray]] = None
-        self._events: Dict[int, List[ReceptionEvent]] = {}
-        self._senders_by_listener: Dict[int, List[int]] = {}
-        self._sender_sets: Dict[int, Set[int]] = {}
-
-    # ------------------------------------------------------------------ #
-    # Columnar accessors (what the vectorized consumers use).
-    # ------------------------------------------------------------------ #
 
     def event_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(round_ids, sender_uids, receiver_uids)`` reception arrays."""
@@ -128,79 +83,6 @@ class ScheduleResult:
         """
         receivers, first = np.unique(self._receiver_uids, return_index=True)
         return receivers, self._sender_uids[first], self._round_ids[first]
-
-    # ------------------------------------------------------------------ #
-    # Lazy indexes.
-    # ------------------------------------------------------------------ #
-
-    def _listener_index(self) -> Dict[int, np.ndarray]:
-        """Map listener uid -> indices of its events, in round order."""
-        if self._by_listener is None:
-            order = np.argsort(self._receiver_uids, kind="stable")
-            sorted_receivers = self._receiver_uids[order]
-            listeners, starts = np.unique(sorted_receivers, return_index=True)
-            bounds = np.append(starts, len(sorted_receivers))
-            self._by_listener = {
-                int(uid): order[bounds[i] : bounds[i + 1]]
-                for i, uid in enumerate(listeners)
-            }
-        return self._by_listener
-
-    def _message_of(self, sender: int) -> Message:
-        message = self._messages.get(sender)
-        if message is None:
-            message = self._messages[sender] = self._factory(sender)
-        return message
-
-    # ------------------------------------------------------------------ #
-    # Event-view API (unchanged signatures).
-    # ------------------------------------------------------------------ #
-
-    def heard_by(self, listener: int) -> List[ReceptionEvent]:
-        """Reception events of ``listener`` (empty list if it heard nothing)."""
-        events = self._events.get(listener)
-        if events is None:
-            indices = self._listener_index().get(listener)
-            if indices is None:
-                events = []
-            else:
-                rounds = self._round_ids
-                senders = self._sender_uids
-                events = [
-                    ReceptionEvent(
-                        round_index=int(rounds[i]),
-                        sender=int(senders[i]),
-                        message=self._message_of(int(senders[i])),
-                    )
-                    for i in indices
-                ]
-            self._events[listener] = events
-        return events
-
-    def senders_heard_by(self, listener: int) -> List[int]:
-        """Distinct sender IDs decoded by ``listener``, in first-heard order."""
-        cached = self._senders_by_listener.get(listener)
-        if cached is None:
-            indices = self._listener_index().get(listener)
-            seen: Set[int] = set()
-            cached = []
-            if indices is not None:
-                for sender in self._sender_uids[indices].tolist():
-                    if sender not in seen:
-                        seen.add(sender)
-                        cached.append(sender)
-            self._senders_by_listener[listener] = cached
-            self._sender_sets[listener] = seen
-        return cached
-
-    def _heard_set(self, listener: int) -> Set[int]:
-        if listener not in self._sender_sets:
-            self.senders_heard_by(listener)
-        return self._sender_sets[listener]
-
-    def exchanged(self, u: int, v: int) -> bool:
-        """Whether ``u`` heard ``v`` and ``v`` heard ``u`` during the execution."""
-        return v in self._heard_set(u) and u in self._heard_set(v)
 
 
 #: A pair's key is ``sender << _SHIFT | receiver``, so sorted keys are sorted pairs.
@@ -287,7 +169,6 @@ def _from_deliveries(
     length: int,
     tx_round_ids: np.ndarray,
     tx_uids: np.ndarray,
-    factory: MessageFactory,
 ) -> ScheduleResult:
     return ScheduleResult(
         length=length,
@@ -296,7 +177,6 @@ def _from_deliveries(
         receiver_uids=deliveries.receiver_uids,
         tx_round_ids=tx_round_ids,
         tx_uids=tx_uids,
-        message_factory=factory,
     )
 
 
@@ -313,9 +193,7 @@ def run_schedule(
     sim: SINRSimulator,
     schedule: TransmissionSchedule,
     participants: Iterable[int],
-    message_factory: Optional[MessageFactory] = None,
     listeners: Optional[Iterable[int]] = None,
-    phase: str = "schedule",
     wake_on_reception: bool = False,
 ) -> ScheduleResult:
     """Execute an (unclustered) schedule restricted to ``participants``.
@@ -329,16 +207,12 @@ def run_schedule(
     participants:
         IDs of the nodes taking part in this sub-protocol; only they ever
         transmit.  Non-participants still listen unless ``listeners`` is given.
-    message_factory:
-        Maps a transmitting node ID to the message it sends (defaults to a
-        bare ``Message`` tagged with ``phase``).
     listeners:
         Restrict who listens (default: every awake node).
     wake_on_reception:
         Let sleeping listeners decode and be woken by their first reception
         (see :meth:`~repro.simulation.engine.SINRSimulator.run_round`).
     """
-    factory = message_factory or _default_message(phase)
     mask = _participant_lookup(participants, schedule.id_space)
     _, members = schedule.member_table()
     keep = mask[members]
@@ -351,7 +225,7 @@ def run_schedule(
         listeners=listeners,
         wake_on_reception=wake_on_reception,
     )
-    return _from_deliveries(deliveries, len(schedule), tx_round_ids, tx_uids, factory)
+    return _from_deliveries(deliveries, len(schedule), tx_round_ids, tx_uids)
 
 
 def run_cluster_schedule(
@@ -359,9 +233,7 @@ def run_cluster_schedule(
     schedule: ClusterAwareSchedule,
     participants: Iterable[int],
     cluster_of: Mapping[int, int],
-    message_factory: Optional[MessageFactory] = None,
     listeners: Optional[Iterable[int]] = None,
-    phase: str = "wcss",
     wake_on_reception: bool = False,
 ) -> ScheduleResult:
     """Execute a cluster-aware schedule restricted to ``participants``.
@@ -372,7 +244,6 @@ def run_cluster_schedule(
     cluster)`` keys are binary-searched against the cluster stage's sorted
     CSR keys.
     """
-    factory = message_factory or _default_message(phase)
     id_space = schedule.id_space
     mask = _participant_lookup(participants, id_space)
     cluster_arr = np.full(id_space + 1, -1, dtype=np.int64)
@@ -409,15 +280,13 @@ def run_cluster_schedule(
         listeners=listeners,
         wake_on_reception=wake_on_reception,
     )
-    return _from_deliveries(deliveries, len(schedule), tx_round_ids, tx_uids, factory)
+    return _from_deliveries(deliveries, len(schedule), tx_round_ids, tx_uids)
 
 
 def run_round_robin(
     sim: SINRSimulator,
     participants: Sequence[int],
-    message_factory: Optional[MessageFactory] = None,
     listeners: Optional[Iterable[int]] = None,
-    phase: str = "round-robin",
     wake_on_reception: bool = False,
 ) -> ScheduleResult:
     """Execute one round per participant, in increasing ID order.
@@ -426,7 +295,6 @@ def run_round_robin(
     lower-bound experiments where an exact, interference-free reference is
     needed.
     """
-    factory = message_factory or _default_message(phase)
     tx_uids = np.unique(np.fromiter((int(u) for u in participants), dtype=np.int64))
     tx_round_ids = np.arange(len(tx_uids), dtype=np.int64)
     deliveries = sim.run_schedule_table(
@@ -436,4 +304,4 @@ def run_round_robin(
         listeners=listeners,
         wake_on_reception=wake_on_reception,
     )
-    return _from_deliveries(deliveries, len(tx_uids), tx_round_ids, tx_uids, factory)
+    return _from_deliveries(deliveries, len(tx_uids), tx_round_ids, tx_uids)

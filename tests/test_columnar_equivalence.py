@@ -9,8 +9,8 @@ none of its code:
 * the columnar runners vs plain set logic over the schedules' frozenset
   views for who transmits, and the brute-force Equation 1 oracle
   (:func:`repro.testing.oracle.oracle_events`) for who decodes whom --
-  event tables, messages, transmitter tables, round and message counters,
-  and wake state;
+  event tables, per-listener reception rows, transmitter tables, round and
+  message counters, and wake state;
 * the vectorized proximity-graph filtering vs Algorithm 1's candidates x
   rounds loop, kept here as a short test-side oracle over the exchange's
   reception events.
@@ -24,19 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AlgorithmConfig
-from repro.core.primitives import clustered_message_factory, wcss_for, wss_for
+from repro.core.primitives import wcss_for, wss_for
 from repro.core.proximity import build_proximity_graph
 from repro.selectors.ssf import TransmissionSchedule, greedy_random_ssf, prime_residue_ssf
 from repro.selectors.wcss import random_wcss
 from repro.selectors.wss import random_wss
 from repro.simulation.engine import SINRSimulator
-from repro.simulation.messages import Message
-from repro.simulation.schedule import (
-    ReceptionEvent,
-    run_cluster_schedule,
-    run_round_robin,
-    run_schedule,
-)
+from repro.simulation.schedule import run_cluster_schedule, run_round_robin, run_schedule
 from repro.sinr import deployment
 from repro.testing.oracle import oracle_events
 
@@ -61,7 +55,7 @@ def expected_events(network, round_sets, listeners=None):
     ]
 
 
-def assert_run_matches_oracle(sim, result, round_sets, factory, listeners=None, awake_before=None):
+def assert_run_matches_oracle(sim, result, round_sets, listeners=None, awake_before=None):
     """A runner's result and the simulator's state against the oracles.
 
     ``round_sets[t]`` is the transmitter set round ``t`` must have, built
@@ -81,15 +75,10 @@ def assert_run_matches_oracle(sim, result, round_sets, factory, listeners=None, 
     ]
     heard = {uid: [] for uid in network.uids}
     for t, sender, receiver in events:
-        heard[receiver].append(ReceptionEvent(round_index=t, sender=sender, message=factory(sender)))
+        heard[receiver].append((t, sender))
     for uid in network.uids:
-        assert result.heard_by(uid) == heard[uid]
-        assert result.senders_heard_by(uid) == list(dict.fromkeys(e.sender for e in heard[uid]))
-    for u in network.uids[:6]:
-        for v in network.uids[:6]:
-            assert result.exchanged(u, v) == (
-                v in result.senders_heard_by(u) and u in result.senders_heard_by(v)
-            )
+        mask = receivers == uid
+        assert list(zip(rounds[mask].tolist(), senders[mask].tolist())) == heard[uid]
 
     assert result.length == len(round_sets)
     assert sim.current_round == len(round_sets)
@@ -158,9 +147,9 @@ class TestRunnerEquivalence:
         schedule = random_wss(sim.network.id_space, k, seed=seed, length=30)
         rng = np.random.default_rng(seed + 1)
         participants = [uid for uid in uids if rng.random() < 0.7] or uids[:1]
-        result = run_schedule(sim, schedule, participants, phase="x")
+        result = run_schedule(sim, schedule, participants)
         round_sets = [set(participants) & allowed for allowed in schedule.rounds]
-        assert_run_matches_oracle(sim, result, round_sets, lambda uid: Message(sender=uid, tag="x"))
+        assert_run_matches_oracle(sim, result, round_sets)
 
     @given(
         seed=st.integers(min_value=0, max_value=300),
@@ -173,15 +162,12 @@ class TestRunnerEquivalence:
         schedule = random_wcss(sim.network.id_space, 3, 2, seed=seed, length=30)
         rng = np.random.default_rng(seed + 2)
         cluster_of = {uid: int(rng.integers(1, 4)) for uid in uids}
-        factory = lambda uid: Message(sender=uid, tag="c", cluster=cluster_of.get(uid))
-        result = run_cluster_schedule(
-            sim, schedule, uids, cluster_of=cluster_of, message_factory=factory
-        )
+        result = run_cluster_schedule(sim, schedule, uids, cluster_of=cluster_of)
         round_sets = [
             {uid for uid in set(uids) & nodes if cluster_of[uid] in clusters}
             for nodes, clusters in zip(schedule.node_rounds, schedule.cluster_rounds)
         ]
-        assert_run_matches_oracle(sim, result, round_sets, factory)
+        assert_run_matches_oracle(sim, result, round_sets)
 
     @given(
         seed=st.integers(min_value=0, max_value=200),
@@ -193,9 +179,7 @@ class TestRunnerEquivalence:
         uids = sim.network.uids
         result = run_round_robin(sim, list(reversed(uids)))
         round_sets = [{uid} for uid in sorted(uids)]
-        assert_run_matches_oracle(
-            sim, result, round_sets, lambda uid: Message(sender=uid, tag="round-robin")
-        )
+        assert_run_matches_oracle(sim, result, round_sets)
 
     def test_wake_on_reception_matches_reference(self):
         sim = make_sim(8, 5)
@@ -209,14 +193,13 @@ class TestRunnerEquivalence:
             sim,
             result,
             round_sets,
-            lambda uid: Message(sender=uid, tag="schedule"),
             listeners=uids,
             awake_before={source},
         )
         assert len(sim.awake_nodes()) > 1, "vacuous: nobody was woken"
 
 
-def algorithm1_reference(sim, participants, config, cluster_of=None, phase="proximity"):
+def algorithm1_reference(sim, participants, config, cluster_of=None):
     """Algorithm 1's filtering and confirmation as a candidates x rounds loop.
 
     Runs the exchange through the (oracle-checked) runners, then applies the
@@ -230,19 +213,13 @@ def algorithm1_reference(sim, participants, config, cluster_of=None, phase="prox
     start = sim.current_round
     id_space = sim.network.id_space
     cluster = {uid: 1 if cluster_of is None else int(cluster_of[uid]) for uid in participants}
-    factory = clustered_message_factory("exchange", cluster)
     if cluster_of is None:
         schedule = wss_for(id_space, config)
-        exchange = run_schedule(
-            sim, schedule, participants, message_factory=factory, phase=f"{phase}:exchange"
-        )
+        exchange = run_schedule(sim, schedule, participants)
         scheduled = {uid: {t for t, r in enumerate(schedule.rounds) if uid in r} for uid in participants}
     else:
         schedule = wcss_for(id_space, config)
-        exchange = run_cluster_schedule(
-            sim, schedule, participants, cluster_of=cluster, message_factory=factory,
-            phase=f"{phase}:exchange",
-        )
+        exchange = run_cluster_schedule(sim, schedule, participants, cluster_of=cluster)
         scheduled = {
             uid: {
                 t
@@ -252,11 +229,15 @@ def algorithm1_reference(sim, participants, config, cluster_of=None, phase="prox
             for uid in participants
         }
     cap = config.effective_candidate_cap
+    events = {v: [] for v in participants}
+    for t, sender, receiver in zip(*(column.tolist() for column in exchange.event_table())):
+        if receiver in events:
+            events[receiver].append((t, sender))
     heard, candidates = {}, {}
     for v in participants:
-        relevant = [e for e in exchange.heard_by(v) if e.message.cluster == cluster[v]]
-        heard[v] = list(dict.fromkeys(e.sender for e in relevant))
-        sender_in_round = {e.round_index: e.sender for e in relevant}
+        relevant = [(t, w) for t, w in events[v] if cluster[w] == cluster[v]]
+        heard[v] = list(dict.fromkeys(w for _, w in relevant))
+        sender_in_round = dict(relevant)
         kept = {
             w for w in heard[v] if all(sender_in_round.get(t, w) == w for t in scheduled[w])
         }
@@ -349,22 +330,21 @@ class TestColumnarAccessors:
         result = run_schedule(sim, schedule, uids)
         rounds, senders, receivers = result.event_table()
         assert np.all(np.diff(rounds) >= 0)
-        total_events = sum(len(result.heard_by(uid)) for uid in uids)
-        assert total_events == len(rounds)
+        assert len(senders) == len(receivers) == len(rounds) == sim.messages_delivered
+        # A listener decodes at most one message per round.
         for uid in uids:
-            events = result.heard_by(uid)
-            mask = receivers == uid
-            assert [e.round_index for e in events] == rounds[mask].tolist()
-            assert [e.sender for e in events] == senders[mask].tolist()
+            assert np.all(np.diff(rounds[receivers == uid]) > 0)
 
     def test_first_receptions_match_heard_by(self):
         sim = make_sim(12, 9)
         uids = sim.network.uids
         result = run_round_robin(sim, uids)
         receivers, senders, rounds = result.first_receptions()
+        all_rounds, all_senders, all_receivers = result.event_table()
+        assert receivers.tolist() == sorted(set(all_receivers.tolist()))
         for uid, sender, round_index in zip(
             receivers.tolist(), senders.tolist(), rounds.tolist()
         ):
-            first = result.heard_by(uid)[0]
-            assert first.sender == sender
-            assert first.round_index == round_index
+            first = np.flatnonzero(all_receivers == uid)[0]
+            assert all_senders[first] == sender
+            assert all_rounds[first] == round_index

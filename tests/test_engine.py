@@ -1,4 +1,4 @@
-"""Tests for the round engine and messages (repro.simulation)."""
+"""Tests for the round engine (repro.simulation)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.simulation.engine import SINRSimulator
-from repro.simulation.messages import Message, message_bits
 from repro.sinr.network import WirelessNetwork
 
 
@@ -15,50 +14,28 @@ def path_network(n: int = 4, spacing: float = 0.7) -> WirelessNetwork:
     return WirelessNetwork(positions)
 
 
-class TestMessages:
-    def test_with_payload(self):
-        message = Message(sender=3, tag="x").with_payload(1, 2)
-        assert message.payload == (1, 2)
-        assert message.sender == 3
-
-    def test_message_bits_within_logarithmic_budget(self):
-        message = Message(sender=3, tag="x", cluster=5, payload=(7,))
-        bits = message_bits(message, id_space=256)
-        # 3 integer fields of 9 bits (ceil(log2(257))) plus a constant tag.
-        assert bits <= 3 * 9 + 8
-
-    def test_message_bits_grows_with_id_space(self):
-        message = Message(sender=3)
-        assert message_bits(message, 10**6) > message_bits(message, 10)
-
-    def test_messages_are_frozen(self):
-        message = Message(sender=1)
-        with pytest.raises(Exception):
-            message.sender = 2  # type: ignore[misc]
-
-
 class TestRunRound:
     def test_single_transmitter_reaches_neighbor(self):
         sim = SINRSimulator(path_network())
-        delivered = sim.run_round({1: Message(sender=1, tag="hi")})
-        assert delivered[2].tag == "hi"
+        delivered = sim.run_round([1])
+        assert delivered[2] == 1
         assert sim.current_round == 1
         assert sim.messages_sent == 1
         assert sim.messages_delivered >= 1
 
     def test_transmitter_does_not_hear_itself(self):
         sim = SINRSimulator(path_network())
-        delivered = sim.run_round({1: Message(sender=1)})
+        delivered = sim.run_round([1])
         assert 1 not in delivered
 
     def test_empty_round_advances_counter(self):
         sim = SINRSimulator(path_network())
-        assert sim.run_round({}) == {}
+        assert sim.run_round([]) == {}
         assert sim.current_round == 1
 
     def test_listeners_restriction(self):
         sim = SINRSimulator(path_network())
-        delivered = sim.run_round({1: Message(sender=1)}, listeners=[3])
+        delivered = sim.run_round([1], listeners=[3])
         assert 2 not in delivered
 
     @pytest.mark.parametrize("unknown", [0, 1000, 3])
@@ -69,13 +46,13 @@ class TestRunRound:
         )
         sim = SINRSimulator(network)
         with pytest.raises(KeyError) as caught:
-            sim.run_round({1: Message(sender=1)}, listeners=[2, unknown])
+            sim.run_round([1], listeners=[2, unknown])
         assert caught.value.args == (unknown,)
 
     def test_fractional_transmitter_uid_raises_key_error(self):
         sim = SINRSimulator(path_network())
         with pytest.raises(KeyError):
-            sim.run_round({2.5: Message(sender=2)})
+            sim.run_round([2.5])
         with pytest.raises(KeyError):
             sim.run_schedule_table(1, np.array([0]), np.array([2.5]))
         assert sim.current_round == 0 and sim.messages_sent == 0
@@ -83,7 +60,7 @@ class TestRunRound:
     def test_sleeping_nodes_do_not_listen_by_default(self):
         sim = SINRSimulator(path_network())
         sim.put_all_to_sleep(except_for=[1])
-        delivered = sim.run_round({1: Message(sender=1)})
+        delivered = sim.run_round([1])
         assert delivered == {}
 
     def test_sleeping_nodes_dropped_from_explicit_listeners(self):
@@ -92,7 +69,7 @@ class TestRunRound:
         network = path_network()
         sim = SINRSimulator(network)
         sim.put_all_to_sleep(except_for=[1])
-        delivered = sim.run_round({1: Message(sender=1)}, listeners=network.uids)
+        delivered = sim.run_round([1], listeners=network.uids)
         assert delivered == {}
         assert not sim.is_awake(2)
 
@@ -100,9 +77,7 @@ class TestRunRound:
         network = path_network()
         sim = SINRSimulator(network)
         sim.put_all_to_sleep(except_for=[1])
-        delivered = sim.run_round(
-            {1: Message(sender=1)}, listeners=network.uids, wake_on_reception=True
-        )
+        delivered = sim.run_round([1], listeners=network.uids, wake_on_reception=True)
         assert 2 in delivered
         assert sim.is_awake(2)
         # Node 4 is out of range of node 1 and must stay asleep.
@@ -117,7 +92,7 @@ class TestRunRound:
 
     def test_reset_counters(self):
         sim = SINRSimulator(path_network())
-        sim.run_round({1: Message(sender=1)})
+        sim.run_round([1])
         sim.reset_counters()
         assert sim.current_round == 0
         assert sim.messages_sent == 0

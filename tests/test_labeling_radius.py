@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.validation import validate_clustering
 from repro.core import AlgorithmConfig, imperfect_labeling, reduce_radius
+from repro.core.radius_reduction import _mutual_graph
+from repro.selectors.wss import random_wss
 from repro.simulation import SINRSimulator
+from repro.simulation.schedule import run_schedule
 from repro.sinr import deployment
 
 
@@ -97,3 +103,47 @@ class TestRadiusReduction:
         result = reduce_radius(sim, network.uids, coarse, gamma=10, config=config, r=2.0)
         assert result.rounds_used == sim.current_round
         assert result.iterations >= 1
+
+
+def oracle_mutual_graph(result, nodes):
+    """Graph G as per-listener sender sets: ``{u, v}`` is an edge iff each heard the other."""
+    heard = {uid: set() for uid in nodes}
+    for sender, receiver in zip(*(column.tolist() for column in result.delivery_pairs())):
+        heard[receiver].add(sender)
+    adjacency = {uid: set() for uid in nodes}
+    for v in nodes:
+        for u in heard[v]:
+            if u in heard and v in heard[u]:
+                adjacency[v].add(u)
+                adjacency[u].add(v)
+    return adjacency
+
+
+class TestMutualGraph:
+    """The columnar graph G of radius reduction against a set-based oracle."""
+
+    @given(
+        n=st.integers(min_value=2, max_value=24),
+        seed=st.integers(min_value=0, max_value=10**6),
+        area=st.floats(min_value=0.8, max_value=3.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_mutual_pairs_match_set_oracle(self, n, seed, area):
+        network = deployment.uniform_random(n, area_side=area, seed=seed)
+        rng = np.random.default_rng(seed)
+        survivors = {uid for uid in network.uids if rng.random() < 0.7} or {network.uids[0]}
+        schedule = random_wss(network.id_space, 3, seed=seed, length=30)
+        result = run_schedule(
+            SINRSimulator(network), schedule, survivors, listeners=sorted(survivors)
+        )
+        graph = _mutual_graph(result, survivors)
+        assert list(graph) == list(survivors)
+        assert graph == oracle_mutual_graph(result, survivors)
+
+    def test_oracle_is_not_vacuous(self):
+        network = deployment.dense_ball(12, radius=0.4, seed=3)
+        schedule = random_wss(network.id_space, 3, seed=3, length=30)
+        result = run_schedule(SINRSimulator(network), schedule, network.uids)
+        graph = _mutual_graph(result, set(network.uids))
+        assert any(graph.values())
+        assert graph == oracle_mutual_graph(result, set(network.uids))

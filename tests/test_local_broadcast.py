@@ -41,13 +41,6 @@ class TestLocalBroadcastOnUniform:
 
 
 class TestLocalBroadcastVariants:
-    def test_payloads_are_delivered(self, fast_config):
-        network = deployment.line(5)
-        sim = SINRSimulator(network)
-        payloads = {uid: (uid * 100,) for uid in network.uids}
-        result = local_broadcast(sim, config=fast_config, payloads=payloads)
-        assert result.delivered.served_fraction(network) == 1.0
-
     def test_extra_sweeps_add_rounds(self, fast_config):
         network = deployment.line(4)
         base = local_broadcast(SINRSimulator(network), config=fast_config, extra_sweeps=0)
